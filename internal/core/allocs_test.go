@@ -37,13 +37,14 @@ skip:
 
 // TestRunSteadyStateAllocs pins the whole-pipeline steady state —
 // functional step, frontend, queue lanes, code-cache hits, convergence
-// reconstruction — at zero allocations per instruction. Run uses an
-// absolute instruction threshold, so repeated calls with a growing cap
-// continue the same simulation; everything that allocates (ring
-// sizing, code-cache pages, policy scratch) must settle during the
+// reconstruction, recycled wpemul path buffers — at zero allocations
+// per instruction. Run uses an absolute instruction threshold, so
+// repeated calls with a growing cap continue the same simulation;
+// everything that allocates (ring sizing, code-cache pages, policy
+// scratch, the frontend's wrong-path free list) must settle during the
 // warmup call.
 func TestRunSteadyStateAllocs(t *testing.T) {
-	for _, kind := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv} {
+	for _, kind := range []wrongpath.Kind{wrongpath.NoWP, wrongpath.Conv, wrongpath.WPEmul} {
 		t.Run(kind.String(), func(t *testing.T) {
 			prog, err := asm.Assemble(lcgLoop)
 			if err != nil {
@@ -51,7 +52,11 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			}
 			cfg := testConfig()
 			cpu := functional.New(prog, mem.New(), 0x7000_0000)
-			fe := frontend.New(cpu)
+			var opts []frontend.Option
+			if kind == wrongpath.WPEmul {
+				opts = append(opts, frontend.WithWrongPathEmulation(cfg.BranchPred, cfg.WPMaxLen()))
+			}
+			fe := frontend.New(cpu, opts...)
 			q, err := queue.New(fe, 2*cfg.ROBSize+cfg.FrontendBuffer+64)
 			if err != nil {
 				t.Fatal(err)
@@ -59,6 +64,9 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			c, err := core.New(cfg, q, wrongpath.New(kind))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if kind == wrongpath.WPEmul {
+				c.SetWPRelease(fe.ReleaseWP)
 			}
 			total := uint64(200_000)
 			c.Run(total) // settle caches, ring size, and policy scratch
@@ -68,6 +76,9 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Errorf("%v steady state allocates %.2f per 2000-instruction slice, want 0", kind, avg)
+			}
+			if paths, _ := fe.WPEmulations(); kind == wrongpath.WPEmul && paths == 0 {
+				t.Fatal("no wrong paths emulated (the gate would not exercise recycling)")
 			}
 			if st := c.Stats(); st.Instructions < total-2_000 {
 				t.Fatalf("simulation ended early at %d instructions (loop too short for the gate)", st.Instructions)

@@ -167,6 +167,11 @@ type Core struct {
 	// run (cancellation); the loop exits as if the stream had ended.
 	laneHook func() bool
 
+	// releaseWP, when non-nil, takes back a branch's emulated wrong path
+	// (DynInst.WP) once the core has finished that branch; the frontend
+	// then reuses the buffer for a later path. Installed under wpemul.
+	releaseWP func([]trace.DynInst)
+
 	stats Stats
 }
 
@@ -256,6 +261,22 @@ func (c *Core) SetObs(v *obs.View) {
 // cancellation polls; a false return stops the run. Disabled runs pay
 // one nil check per lane.
 func (c *Core) SetLaneHook(f func() bool) { c.laneHook = f }
+
+// SetWPRelease installs f to receive every emulated wrong path the core
+// has finished with — at the end of warm for a warmup record, at the
+// end of simulateWrongPath for a mispredicted branch, whatever the
+// policy returned — and clears the record's WP so the core holds no
+// reference to the returned buffer. nil uninstalls it (paths are then
+// left to the GC).
+func (c *Core) SetWPRelease(f func([]trace.DynInst)) { c.releaseWP = f }
+
+// releaseWPOf hands di's emulated wrong path back (see SetWPRelease).
+func (c *Core) releaseWPOf(di *trace.DynInst) {
+	if di.WP != nil && c.releaseWP != nil {
+		c.releaseWP(di.WP)
+		di.WP = nil
+	}
+}
 
 // Stats returns the accumulated statistics.
 func (c *Core) Stats() Stats { return c.stats }
@@ -415,6 +436,7 @@ func (c *Core) warm(di *trace.DynInst, m *codecache.Meta) {
 			c.hier.Store(di.MemAddr, 0, false)
 		}
 	}
+	c.releaseWPOf(di)
 }
 
 func (c *Core) recordBranch(di *trace.DynInst, pred branch.Prediction) {
@@ -647,6 +669,7 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 		}
 	}
 	if len(wp) == 0 {
+		c.releaseWPOf(br)
 		return 0, 0
 	}
 
@@ -703,6 +726,7 @@ func (c *Core) simulateWrongPath(br *trace.DynInst, target uint64, resolve uint6
 	c.lastDispatch = savedLastDispatch
 	copy(c.dispRing, c.dispSnapshot)
 	c.dispIdx = savedDispIdx
+	c.releaseWPOf(br)
 	return len(wp), wpFetched
 }
 

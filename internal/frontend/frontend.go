@@ -12,10 +12,14 @@
 // mispredictions the performance model will detect, checkpoints the
 // functional state, emulates the predicted (wrong) path with stores
 // suppressed, attaches the emulated records to the branch, and restores
-// the checkpoint.
+// the checkpoint. The frontend keeps ownership of each emulated path:
+// the core reads it until it has finished that branch and then returns
+// it (ReleaseWP) for reuse by a later mispredict.
 package frontend
 
 import (
+	"sync"
+
 	"repro/internal/branch"
 	"repro/internal/functional"
 	"repro/internal/trace"
@@ -35,14 +39,17 @@ type Frontend struct {
 	maxInsts uint64
 	produced uint64
 
-	// wpArena is the reusable backing store for emulated wrong paths:
-	// each mispredict slices its records out of the current block, so
-	// steady-state emulation allocates one block per ~wpArenaBlock
-	// records instead of one slice per mispredict. Blocks are retired
-	// (left to the GC) once full; the WP slices handed out keep their
-	// block alive exactly as long as the queue holds them.
-	wpArena []trace.DynInst
-	wpOff   int
+	// wpMu guards wpFree: the producer takes buffers in emulateWP while
+	// the core returns them through ReleaseWP, which under the parallel
+	// frontend runs on the consumer goroutine.
+	wpMu sync.Mutex
+	// wpFree holds empty path buffers, each with capacity wpMaxLen,
+	// that the core has finished with; emulateWP allocates only when it
+	// is empty. It lives for one run: DropWPBuffers empties it.
+	wpFree [][]trace.DynInst
+	// wpNext is the buffer the next emulation appends into, kept across
+	// emulations that produced an empty path. Producer-owned.
+	wpNext []trace.DynInst
 
 	err error
 
@@ -130,30 +137,54 @@ func (f *Frontend) step(di *trace.DynInst) bool {
 	return true
 }
 
-// wpArenaBlock is the arena growth granule in records; blocks are
-// sized up to wpMaxLen when a single path could outgrow it.
-const wpArenaBlock = 1 << 14
-
-// emulateWP functionally emulates the wrong path from target into the
-// arena and returns the records (nil when the path is empty). The
-// emulated stream itself is unchanged from the per-mispredict
-// allocation it replaces; only the backing store differs.
+// emulateWP functionally emulates the wrong path from target into a
+// recycled buffer and returns the records (nil when the path is empty).
+// The path belongs to the frontend: the core reads it until it has
+// finished the branch and then hands it back through ReleaseWP.
 func (f *Frontend) emulateWP(target uint64) []trace.DynInst {
-	if len(f.wpArena)-f.wpOff < f.wpMaxLen {
-		sz := wpArenaBlock
-		if sz < f.wpMaxLen {
-			sz = f.wpMaxLen
+	if f.wpNext == nil {
+		f.wpMu.Lock()
+		if n := len(f.wpFree); n > 0 {
+			f.wpNext = f.wpFree[n-1]
+			f.wpFree[n-1] = nil
+			f.wpFree = f.wpFree[:n-1]
 		}
-		f.wpArena = make([]trace.DynInst, sz)
-		f.wpOff = 0
+		f.wpMu.Unlock()
+		if f.wpNext == nil {
+			f.wpNext = make([]trace.DynInst, 0, f.wpMaxLen)
+		}
 	}
-	base := f.wpArena[f.wpOff:f.wpOff:len(f.wpArena)]
-	wp := f.cpu.AppendWrongPath(base, target, f.wpMaxLen)
+	wp := f.cpu.AppendWrongPath(f.wpNext, target, f.wpMaxLen)
 	if len(wp) == 0 {
 		return nil
 	}
-	f.wpOff += len(wp)
+	f.wpNext = nil
 	return wp
+}
+
+// ReleaseWP returns a path emulateWP produced once its reader is done
+// with it; the buffer is reused for a later path, so the caller must
+// not read wp afterwards. A path restored from a snapshot is an
+// exact-length allocation: shorter than wpMaxLen it is not one of the
+// frontend's buffers and is left to the GC. Safe to call from the
+// consumer goroutine while the producer runs.
+func (f *Frontend) ReleaseWP(wp []trace.DynInst) {
+	if cap(wp) != f.wpMaxLen {
+		return
+	}
+	f.wpMu.Lock()
+	f.wpFree = append(f.wpFree, wp[:0])
+	f.wpMu.Unlock()
+}
+
+// DropWPBuffers discards the recycled path buffers so a finished run
+// holds none. Production must have stopped: paths still in flight are
+// left to the GC, and a later emulation would allocate afresh.
+func (f *Frontend) DropWPBuffers() {
+	f.wpMu.Lock()
+	f.wpFree = nil
+	f.wpMu.Unlock()
+	f.wpNext = nil
 }
 
 // Err returns the functional error that stopped production, if any.

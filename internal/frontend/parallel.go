@@ -28,8 +28,13 @@ import (
 // producer (the stall watchdog's abort path); Close is idempotent and
 // safe after a producer panic.
 type Parallel struct {
-	src      interface{ Next() (trace.DynInst, bool) }
-	ch       chan []trace.DynInst
+	src interface{ Next() (trace.DynInst, bool) }
+	ch  chan []trace.DynInst
+	// free returns fully consumed batches to the producer, which refills
+	// them instead of allocating; at most depth+2 batches ever exist
+	// (depth queued, one filling, one being read), so it never blocks.
+	free     chan []trace.DynInst
+	batch    int
 	stop     chan struct{}
 	done     <-chan struct{} // run context's Done; nil = never fires
 	stopOnce sync.Once
@@ -82,9 +87,11 @@ func NewParallelContext(ctx context.Context, src interface {
 		depth = DefaultDepth
 	}
 	p := &Parallel{
-		src:  src,
-		ch:   make(chan []trace.DynInst, depth),
-		stop: make(chan struct{}),
+		src:   src,
+		ch:    make(chan []trace.DynInst, depth),
+		free:  make(chan []trace.DynInst, depth+2),
+		batch: batch,
+		stop:  make(chan struct{}),
 	}
 	if ctx != nil {
 		p.done = ctx.Done()
@@ -108,7 +115,7 @@ func NewParallelContext(ctx context.Context, src interface {
 			// Batched fill: one producer call per channel batch instead of
 			// one per record. 0 written means end of stream.
 			for {
-				buf := make([]trace.DynInst, batch)
+				buf := p.getBatch()[:batch]
 				n := bs.NextBatch(buf)
 				if n == 0 {
 					return
@@ -122,7 +129,7 @@ func NewParallelContext(ctx context.Context, src interface {
 				}
 			}
 		}
-		buf := make([]trace.DynInst, 0, batch)
+		buf := p.getBatch()
 		for {
 			di, ok := src.Next()
 			if ok {
@@ -131,7 +138,7 @@ func NewParallelContext(ctx context.Context, src interface {
 			if len(buf) == batch || (!ok && len(buf) > 0) {
 				select {
 				case p.ch <- buf:
-					buf = make([]trace.DynInst, 0, batch)
+					buf = p.getBatch()
 				case <-p.stop:
 					return
 				case <-p.done:
@@ -144,6 +151,43 @@ func NewParallelContext(ctx context.Context, src interface {
 		}
 	}()
 	return p
+}
+
+// getBatch returns an empty batch with capacity p.batch: a recycled
+// one when the consumer has handed one back, a new one otherwise.
+func (p *Parallel) getBatch() []trace.DynInst {
+	select {
+	case b := <-p.free:
+		return b
+	default:
+		return make([]trace.DynInst, 0, p.batch)
+	}
+}
+
+// recv receives the next channel batch into p.cur, first handing the
+// exhausted current batch back to the producer (its records have all
+// been copied out). ok is false at end of stream or on stop.
+func (p *Parallel) recv() bool {
+	if p.cur != nil {
+		select {
+		case p.free <- p.cur[:0]:
+		default:
+		}
+		p.cur, p.idx = nil, 0
+	}
+	select {
+	case batch, ok := <-p.ch:
+		if !ok {
+			p.eof = true
+			return false
+		}
+		p.cur, p.idx = batch, 0
+		return true
+	case <-p.stop:
+	case <-p.done:
+	}
+	p.eof = true
+	return false
 }
 
 func (p *Parallel) setErr(err error) {
@@ -169,21 +213,7 @@ func (p *Parallel) Err() error {
 // stays blocked on a producer that has stopped making progress.
 func (p *Parallel) Next() (trace.DynInst, bool) {
 	for p.idx >= len(p.cur) {
-		if p.eof {
-			return trace.DynInst{}, false
-		}
-		select {
-		case batch, ok := <-p.ch:
-			if !ok {
-				p.eof = true
-				return trace.DynInst{}, false
-			}
-			p.cur, p.idx = batch, 0
-		case <-p.stop:
-			p.eof = true
-			return trace.DynInst{}, false
-		case <-p.done:
-			p.eof = true
+		if p.eof || !p.recv() {
 			return trace.DynInst{}, false
 		}
 	}
@@ -200,21 +230,7 @@ func (p *Parallel) NextBatch(dst []trace.DynInst) int {
 	n := 0
 	for n < len(dst) {
 		for p.idx >= len(p.cur) {
-			if p.eof {
-				return n
-			}
-			select {
-			case batch, ok := <-p.ch:
-				if !ok {
-					p.eof = true
-					return n
-				}
-				p.cur, p.idx = batch, 0
-			case <-p.stop:
-				p.eof = true
-				return n
-			case <-p.done:
-				p.eof = true
+			if p.eof || !p.recv() {
 				return n
 			}
 		}
@@ -253,6 +269,10 @@ func (p *Parallel) Close() {
 	for range p.ch {
 	}
 	p.wg.Wait()
+	// Drop the recycled batches with the current one: their stale
+	// records still point at emulated wrong paths. The producer has
+	// exited, so nothing else reads p.free.
 	p.cur, p.idx = nil, 0
+	p.free = nil
 	p.eof = true
 }

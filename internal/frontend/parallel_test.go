@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/asm"
 	"repro/internal/frontend"
+	"repro/internal/functional"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -143,4 +146,73 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if _, ok := par.Next(); ok {
 		t.Error("parallel stream longer than sequential")
 	}
+}
+
+// longLoop runs far past what the allocation gate below consumes.
+const longLoop = `
+    li   t0, 10000000
+loop:
+    addi t1, t1, 3
+    andi t2, t1, 4
+    beqz t2, skip
+    addi t3, t3, 1
+skip:
+    addi t0, t0, -1
+    bnez t0, loop
+    li a7, 0
+    li a0, 0
+    ecall
+`
+
+// TestParallelSteadyStateAllocs: once the channel's batches are in
+// circulation, the producer refills batches the consumer has handed
+// back, so streaming allocates nothing — through the batched fill
+// (a *Frontend producer, NextBatch consumer) and the per-record one
+// (a plain Next producer and consumer).
+func TestParallelSteadyStateAllocs(t *testing.T) {
+	prog, err := asm.Assemble(longLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("batched", func(t *testing.T) {
+		p := frontend.NewParallel(frontend.New(functional.New(prog, mem.New(), 0)), 0, 0)
+		defer p.Close()
+		dst := make([]trace.DynInst, 2000)
+		short := 0
+		pull := func() {
+			if p.NextBatch(dst) != len(dst) {
+				short++
+			}
+		}
+		for i := 0; i < 20; i++ {
+			pull() // put every batch into circulation
+		}
+		if avg := testing.AllocsPerRun(50, pull); avg != 0 {
+			t.Errorf("steady state allocates %.2f per 2000-record pull, want 0", avg)
+		}
+		if short > 0 {
+			t.Fatal("stream ended inside the gate")
+		}
+	})
+	t.Run("per-record", func(t *testing.T) {
+		p := frontend.NewParallel(&countProducer{max: 1 << 30}, 0, 0)
+		defer p.Close()
+		short := 0
+		pull := func() {
+			for i := 0; i < 2000; i++ {
+				if _, ok := p.Next(); !ok {
+					short++
+				}
+			}
+		}
+		for i := 0; i < 20; i++ {
+			pull()
+		}
+		if avg := testing.AllocsPerRun(50, pull); avg != 0 {
+			t.Errorf("steady state allocates %.2f per 2000-record pull, want 0", avg)
+		}
+		if short > 0 {
+			t.Fatal("stream ended inside the gate")
+		}
+	})
 }

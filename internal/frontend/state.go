@@ -13,11 +13,12 @@ const snapshotVersion = 1
 
 // SaveState serializes the production cursor, the emulation statistics,
 // the wpemul predictor copy (presence-flagged), and the functional CPU
-// underneath. The arena (wpArena/wpOff) is an allocation detail, not
-// state — emulated paths already handed to the queue were serialized
-// with their records, and a fresh arena block produces identical bytes
-// for the next one. A latched err is terminal (the run faulted), so a
-// checkpointed frontend never carries one.
+// underneath. The recycled path buffers (wpFree/wpNext) are an
+// allocation detail, not state — emulated paths already handed to the
+// queue were serialized with their records, and a freshly allocated
+// buffer produces identical bytes for the next one. A latched err is
+// terminal (the run faulted), so a checkpointed frontend never carries
+// one.
 func (f *Frontend) SaveState(w *checkpoint.Writer) {
 	w.Section("frontend/Frontend", snapshotVersion)
 	w.Uint64(f.produced)

@@ -361,9 +361,9 @@ func (c *CPU) WrongPathEmulate(target uint64, maxInsts int) []trace.DynInst {
 }
 
 // AppendWrongPath is the allocation-aware form of WrongPathEmulate: the
-// emulated records are appended to dst (typically a slice into a
-// reusable arena with at least maxInsts free capacity, so steady-state
-// emulation allocates nothing) and the extended slice is returned.
+// emulated records are appended to dst (typically an empty recycled
+// buffer with capacity maxInsts, so steady-state emulation allocates
+// nothing) and the extended slice is returned.
 func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) []trace.DynInst {
 	if c.halted || maxInsts <= 0 {
 		return dst

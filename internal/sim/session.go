@@ -78,6 +78,11 @@ func NewSession(cfg Config, src Source) (*Session, error) {
 		return nil, err
 	}
 	s.core = c
+	if cfg.WP == wrongpath.WPEmul {
+		// Recycle each emulated path once the core has finished its
+		// branch, whichever policy (PolicyFactory included) reads it.
+		c.SetWPRelease(src.ReleaseWP)
+	}
 	if p, ok := src.(interface{ Program() *isa.Program }); ok {
 		// Predecode the static program into the code cache so first
 		// deliveries and wrong-path walks find their decode records

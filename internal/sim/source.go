@@ -29,10 +29,20 @@ type Source interface {
 	// instructions" (§III-B).
 	SupportsWPEmul() bool
 
+	// ReleaseWP takes back an emulated wrong path (DynInst.WP) the core
+	// has finished with, so the frontend can reuse its buffer; the core
+	// reads the path no more. Under wpemul the session installs it on
+	// the core; a source that never emulates implements it as a no-op.
+	// It is a required method so that wrappers embedding a Source
+	// forward it unchanged. It may be called from the consumer
+	// goroutine while a parallel producer runs.
+	ReleaseWP(wp []trace.DynInst)
+
 	// Close stops any background production (the parallel frontend's
-	// producer goroutine). The session calls it after the timing run,
-	// before Collect; it must be safe to call on a source that never
-	// started.
+	// producer goroutine) and drops the frontend's recycled wrong-path
+	// buffers, so a finished session holds none. The session calls it
+	// after the timing run, before Collect; it must be safe to call on a
+	// source that never started.
 	Close()
 
 	// Collect fills the source-side Result fields (functional
@@ -93,12 +103,18 @@ func (s *functionalSource) Program() *isa.Program { return s.cpu.Prog }
 
 func (s *functionalSource) SupportsWPEmul() bool { return true }
 
+// ReleaseWP forwards a finished wrong path to the frontend's free list
+// (mutex-guarded there: the parallel frontend's producer takes buffers
+// concurrently).
+func (s *functionalSource) ReleaseWP(wp []trace.DynInst) { s.fe.ReleaseWP(wp) }
+
 func (s *functionalSource) Close() {
 	if s.par != nil {
 		// Stop the producer goroutine before reading functional-side
 		// state (Output, Produced) to avoid racing with it.
 		s.par.Close()
 	}
+	s.fe.DropWPBuffers()
 }
 
 // Interrupt implements Interrupter: the stall watchdog's abort path.
@@ -162,6 +178,9 @@ func (s traceSource) NextBatch(dst []trace.DynInst) int {
 }
 
 func (s traceSource) SupportsWPEmul() bool { return false }
+
+// ReleaseWP is a no-op: trace records never carry emulated paths.
+func (s traceSource) ReleaseWP([]trace.DynInst) {}
 
 func (s traceSource) Close() {}
 

@@ -41,6 +41,9 @@ type DynInst struct {
 
 	// WP is the functionally emulated wrong path attached to a
 	// mispredicted branch by the wpemul frontend; nil in all other modes.
+	// The frontend owns the buffer: the core may read it until it has
+	// finished the branch, then returns it (sim.Source.ReleaseWP) and
+	// clears WP, after which the buffer holds a later branch's path.
 	WP []DynInst
 
 	// Exit marks the instruction that terminated the program (the exit
