@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke bench-test check bench bench-diff bench-all bench-smoke
+.PHONY: build test vet fmt-check lint lint-fix lint-sarif race faults chaos fuzz-smoke serve-smoke serve-cache-smoke bench-test check bench bench-diff bench-all bench-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails listing every file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs the simulator-invariant analyzers (see internal/analysis).
 lint:
@@ -68,15 +72,15 @@ serve-smoke:
 serve-cache-smoke:
 	$(GO) test -timeout 10m -count=1 -run 'TestServeCacheSmoke' -v ./cmd/wpserved/
 
-# bench-test runs the benchmark module's own tests (wpbench is a
-# separate module, so the root ./... never reaches them): its wrappers
-# keep canonical bytes identical for every technique, and its record
-# schema matches BENCHMARK.json.
+# bench-test vets the benchmark module and runs its own tests (wpbench
+# is a separate module, so the root ./... never reaches them): its
+# wrappers keep canonical bytes identical for every technique, and its
+# record schema matches BENCHMARK.json.
 bench-test:
-	cd wpbench && $(GO) test ./...
+	cd wpbench && $(GO) vet ./... && $(GO) test ./...
 
 # check is the full CI gate.
-check: build vet lint race faults chaos serve-smoke serve-cache-smoke bench-test
+check: fmt-check build vet lint race faults chaos serve-smoke serve-cache-smoke bench-test
 
 # bench runs the observability regression sweep: the fig1/fig4
 # workload cross-section under every wrong-path technique with metrics

@@ -124,7 +124,11 @@ type Core struct {
 	commitRing []uint64
 	commitIdx  int
 
-	// Issue ports and functional units.
+	// Issue ports and functional units: the cycle each port or unit is
+	// next free, each array kept as a binary min-heap so the earliest
+	// free one is at index 0. The ports of one class are interchangeable
+	// — timing depends only on the multiset of free times — so it does
+	// not matter which of several earliest-free ones the top is.
 	issuePorts []uint64
 	fuFree     [16][]uint64
 	fuLat      [16]uint64
@@ -555,15 +559,12 @@ func (c *Core) issueAndExecute(di *trace.DynInst, m *codecache.Meta, disp uint64
 		ready = maxU(ready, c.regReady[m.Srcs[s]])
 	}
 
-	// Issue port.
-	pi := minIndex(c.issuePorts)
-	issue := maxU(ready, c.issuePorts[pi])
-
-	// Functional unit.
+	// Issue port and functional unit: the earliest free of each, at the
+	// top of its heap.
+	issue := maxU(ready, c.issuePorts[0])
 	cl := fuClass(m.Class)
 	units := c.fuFree[cl]
-	ui := minIndex(units)
-	start := maxU(issue, units[ui])
+	start := maxU(issue, units[0])
 
 	if wrongPath && start >= resolve {
 		// Squashed before issuing: consumes no execution resources and
@@ -571,7 +572,8 @@ func (c *Core) issueAndExecute(di *trace.DynInst, m *codecache.Meta, disp uint64
 		return resolve
 	}
 
-	c.issuePorts[pi] = issue + 1
+	c.issuePorts[0] = issue + 1
+	siftDown(c.issuePorts, 0)
 	var lat uint64
 	switch {
 	case m.IsLoad():
@@ -582,10 +584,11 @@ func (c *Core) issueAndExecute(di *trace.DynInst, m *codecache.Meta, disp uint64
 		lat = c.fuLat[cl]
 	}
 	if c.fuPipe[cl] {
-		units[ui] = start + 1
+		units[0] = start + 1
 	} else {
-		units[ui] = start + lat
+		units[0] = start + lat
 	}
+	siftDown(units, 0)
 
 	done := start + lat
 	if m.HasDst {
@@ -737,12 +740,30 @@ func maxU(a, b uint64) uint64 {
 	return b
 }
 
-func minIndex(v []uint64) int {
-	mi := 0
-	for i := 1; i < len(v); i++ {
-		if v[i] < v[mi] {
-			mi = i
+// siftDown restores the min-heap order of h below index i after h[i]
+// grew.
+func siftDown(h []uint64, i int) {
+	v := h[i]
+	for {
+		k := 2*i + 1
+		if k >= len(h) {
+			break
 		}
+		if r := k + 1; r < len(h) && h[r] < h[k] {
+			k = r
+		}
+		if v <= h[k] {
+			break
+		}
+		h[i] = h[k]
+		i = k
 	}
-	return mi
+	h[i] = v
+}
+
+// heapify puts h in min-heap order.
+func heapify(h []uint64) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
 }

@@ -57,6 +57,9 @@ func (c *Core) SaveState(w *checkpoint.Writer) {
 // RestoreState overwrites the core's state with the snapshot. The
 // receiver must be built (New) under the same configuration; every
 // configuration-sized structure is length-validated during decode.
+// The port and FU arrays are re-heapified: a snapshot need not hold
+// them in heap order (older writers kept them unordered), and only
+// their multisets of free times affect timing.
 func (c *Core) RestoreState(r *checkpoint.Reader) error {
 	if err := r.Section("core/Core", snapshotVersion); err != nil {
 		return err
@@ -73,8 +76,10 @@ func (c *Core) RestoreState(r *checkpoint.Reader) error {
 	r.Uint64sInto(c.commitRing)
 	c.commitIdx = r.Int()
 	r.Uint64sInto(c.issuePorts)
+	heapify(c.issuePorts)
 	for cl := range c.fuFree {
 		r.Uint64sInto(c.fuFree[cl])
+		heapify(c.fuFree[cl])
 	}
 	for i := range c.regReady {
 		c.regReady[i] = r.Uint64()

@@ -118,12 +118,10 @@ func (f *Frontend) step(di *trace.DynInst) bool {
 	if f.maxInsts > 0 && f.produced >= f.maxInsts {
 		return false
 	}
-	d, err := f.cpu.Step()
-	if err != nil {
+	if err := f.cpu.StepInto(di); err != nil {
 		f.err = err
 		return false
 	}
-	*di = d
 	f.produced++
 
 	if f.pred != nil && di.IsControl() {

@@ -109,52 +109,57 @@ var diffOps = []isa.Op{
 	isa.OpMul, isa.OpDiv, isa.OpRem,
 }
 
+// randomProgram generates one differential program: n random
+// straight-line integer instructions followed by an ecall, and the
+// random initial integer registers (x0 stays zero) to run it from.
+func randomProgram(seed uint64, length uint8) (prog *isa.Program, init [isa.NumIntRegs]uint64, n int) {
+	rng := graph.NewRNG(seed)
+	n = int(length)%200 + 10
+
+	for i := 1; i < isa.NumIntRegs; i++ {
+		init[i] = rng.Next()
+		// Sprinkle edge values.
+		switch rng.Intn(8) {
+		case 0:
+			init[i] = 0
+		case 1:
+			init[i] = ^uint64(0)
+		case 2:
+			init[i] = 1 << 63 // MinInt64
+		}
+	}
+
+	insts := make([]isa.Inst, 0, n+1)
+	for i := 0; i < n; i++ {
+		op := diffOps[rng.Intn(uint64(len(diffOps)))]
+		in := isa.Inst{
+			Op:  op,
+			Rd:  isa.Reg(rng.Intn(isa.NumIntRegs)),
+			Rs1: isa.Reg(rng.Intn(isa.NumIntRegs)),
+			Rs2: isa.RegNone,
+			Rs3: isa.RegNone,
+		}
+		switch op {
+		case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori:
+			in.Imm = int64(rng.Next())
+		case isa.OpSlli, isa.OpSrli, isa.OpSrai:
+			in.Imm = int64(rng.Intn(64))
+		default:
+			in.Rs2 = isa.Reg(rng.Intn(isa.NumIntRegs))
+		}
+		insts = append(insts, in)
+	}
+	insts = append(insts, isa.Inst{Op: isa.OpEcall, Rd: isa.RegNone, Rs1: isa.RegNone, Rs2: isa.RegNone, Rs3: isa.RegNone})
+	return &isa.Program{Base: 0x1000, Entry: 0x1000, Insts: insts}, init, n
+}
+
 // TestDifferentialRandomPrograms generates random straight-line
 // programs, runs them on the functional simulator and the reference
 // evaluator, and compares the full integer register file.
 func TestDifferentialRandomPrograms(t *testing.T) {
 	f := func(seed uint64, length uint8) bool {
-		rng := graph.NewRNG(seed)
-		n := int(length)%200 + 10
-
-		// Random initial registers (x0 stays zero).
-		var init [isa.NumIntRegs]uint64
-		for i := 1; i < isa.NumIntRegs; i++ {
-			init[i] = rng.Next()
-			// Sprinkle edge values.
-			switch rng.Intn(8) {
-			case 0:
-				init[i] = 0
-			case 1:
-				init[i] = ^uint64(0)
-			case 2:
-				init[i] = 1 << 63 // MinInt64
-			}
-		}
-
-		insts := make([]isa.Inst, 0, n+1)
-		for i := 0; i < n; i++ {
-			op := diffOps[rng.Intn(uint64(len(diffOps)))]
-			in := isa.Inst{
-				Op:  op,
-				Rd:  isa.Reg(rng.Intn(isa.NumIntRegs)),
-				Rs1: isa.Reg(rng.Intn(isa.NumIntRegs)),
-				Rs2: isa.RegNone,
-				Rs3: isa.RegNone,
-			}
-			switch op {
-			case isa.OpAddi, isa.OpAndi, isa.OpOri, isa.OpXori:
-				in.Imm = int64(rng.Next())
-			case isa.OpSlli, isa.OpSrli, isa.OpSrai:
-				in.Imm = int64(rng.Intn(64))
-			default:
-				in.Rs2 = isa.Reg(rng.Intn(isa.NumIntRegs))
-			}
-			insts = append(insts, in)
-		}
-		insts = append(insts, isa.Inst{Op: isa.OpEcall, Rd: isa.RegNone, Rs1: isa.RegNone, Rs2: isa.RegNone, Rs3: isa.RegNone})
-
-		prog := &isa.Program{Base: 0x1000, Entry: 0x1000, Insts: insts}
+		prog, init, n := randomProgram(seed, length)
+		insts := prog.Insts
 		cpu := functional.New(prog, mem.New(), 0)
 		ref := &miniState{regs: init}
 		for i := 1; i < isa.NumIntRegs; i++ {

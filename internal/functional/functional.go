@@ -160,14 +160,32 @@ func (c *CPU) setx(r isa.Reg, v uint64) {
 // halted); the CPU state is unchanged in that case except that no
 // instruction retires.
 func (c *CPU) Step() (trace.DynInst, error) {
+	var di trace.DynInst
+	err := c.StepInto(&di)
+	return di, err
+}
+
+// StepInto is Step writing the record into *di instead of returning
+// it, so the hot paths fill queue slots and wrong-path buffers in place
+// rather than copying the record out. Every field of *di is
+// overwritten — including on error, where *di holds what Step would
+// have returned — so di may point at a reused slot holding any earlier
+// record.
+func (c *CPU) StepInto(di *trace.DynInst) error {
+	// Zero first, then store fields: assigning a composite literal with
+	// fields to *di would build it in a temporary and copy it over.
+	*di = trace.DynInst{}
 	if c.halted {
-		return trace.DynInst{}, ErrHalted
+		return ErrHalted
 	}
 	in, ok := c.Prog.At(c.pc)
 	if !ok {
-		return trace.DynInst{}, fmt.Errorf("%w: pc=0x%x", ErrBadPC, c.pc)
+		return fmt.Errorf("%w: pc=0x%x", ErrBadPC, c.pc)
 	}
-	di := trace.DynInst{Seq: c.seq, PC: c.pc, In: in, NextPC: c.pc + isa.InstBytes}
+	di.Seq = c.seq
+	di.PC = c.pc
+	di.In = in
+	di.NextPC = c.pc + isa.InstBytes
 
 	switch in.Op {
 	case isa.OpNop:
@@ -312,12 +330,12 @@ func (c *CPU) Step() (trace.DynInst, error) {
 
 	// --- system ---
 	case isa.OpEcall:
-		if err := c.syscall(&di); err != nil {
-			return di, err
+		if err := c.syscall(di); err != nil {
+			return err
 		}
 
 	default:
-		return di, fmt.Errorf("%w: %v at pc=0x%x", ErrInvalidInst, in.Op, c.pc)
+		return fmt.Errorf("%w: %v at pc=0x%x", ErrInvalidInst, in.Op, c.pc)
 	}
 
 	c.pc = di.NextPC
@@ -325,7 +343,7 @@ func (c *CPU) Step() (trace.DynInst, error) {
 	if !c.suppressStores {
 		c.instret++
 	}
-	return di, nil
+	return nil
 }
 
 func (c *CPU) syscall(di *trace.DynInst) error {
@@ -373,19 +391,20 @@ func (c *CPU) AppendWrongPath(dst []trace.DynInst, target uint64, maxInsts int) 
 	c.suppressStores = true
 	c.pc = target
 
-	n := 0
-	for n < maxInsts {
+	for n := 0; n < maxInsts; n++ {
 		if in, ok := c.Prog.At(c.pc); !ok || in.Op == isa.OpEcall {
 			break
 		}
-		di, err := c.Step()
-		if err != nil {
+		// Step straight into the next slot; drop it again if the step
+		// fails.
+		var di *trace.DynInst
+		dst, di = trace.Extend(dst)
+		if c.StepInto(di) != nil {
+			dst = dst[:len(dst)-1]
 			break
 		}
 		di.WrongPath = true
 		di.Seq = savedSeq
-		dst = append(dst, di)
-		n++
 	}
 
 	c.suppressStores = false

@@ -139,16 +139,32 @@ func (j *job) requeue() {
 	j.exitCode = exitPending
 }
 
-// finish records a terminal state.
-func (j *job) finish(state string, exitCode int, mut func(*job)) {
+// finish records a terminal state: the terminal fields of st (state,
+// exit code, descent, error, wall time) and the canonical result bytes
+// (nil when there is no result).
+func (j *job) finish(st Status, canonical json.RawMessage) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.state = state
-	j.exitCode = exitCode
+	j.state = st.State
+	j.exitCode = st.ExitCode
+	j.degraded = st.Degraded
+	j.requestedWP = st.RequestedWP
+	j.ranWP = st.RanWP
+	j.fault = st.Fault
+	j.errMsg = st.Error
+	j.wallNS = st.WallNS
+	j.canonical = canonical
 	j.cancel = nil
-	if mut != nil {
-		mut(j)
-	}
+}
+
+// notePersistError records that a terminal job's result documents
+// could not be written. The in-memory record stands; the job re-runs
+// on the next daemon start (spec without result), which is safe —
+// reruns are bit-identical by construction.
+func (j *job) notePersistError(err error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.errMsg = "persist: " + err.Error()
 }
 
 // requestCancel implements the cancel endpoint: a queued job becomes

@@ -485,6 +485,8 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 	drainInterrupted := func() bool {
 		return s.Draining() && !j.isUserCanceled()
 	}
+	st := j.status()
+	var canonical []byte
 	switch {
 	case err != nil && errors.Is(err, simerr.ErrCanceled):
 		// Canceled before the run could start (batch pre-start check).
@@ -492,12 +494,12 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 			j.requeue()
 			return
 		}
-		j.finish(StateCanceled, exitAnnotated, func(j *job) { j.errMsg = simerr.FirstLine(err) })
+		st.State, st.ExitCode, st.Error = StateCanceled, exitAnnotated, simerr.FirstLine(err)
 		s.mCanceled.Inc()
 	case err != nil:
 		// Hard failure: the spec could not run at all (workload build
 		// error, checkpoint I/O, an escaped panic). No result exists.
-		j.finish(StateFailed, exitFailure, func(j *job) { j.errMsg = simerr.FirstLine(err) })
+		st.State, st.ExitCode, st.Error = StateFailed, exitFailure, simerr.FirstLine(err)
 		s.mFailed.Inc()
 	case res.Err != nil && errors.Is(res.Err, simerr.ErrCanceled):
 		// The run stopped at a lane boundary on cancellation. The partial
@@ -507,33 +509,29 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 			j.requeue()
 			return
 		}
-		j.finish(StateCanceled, exitAnnotated, func(j *job) {
-			j.errMsg = simerr.FirstLine(res.Err)
-			j.wallNS = int64(res.Wall)
-		})
+		st.State, st.ExitCode, st.Error = StateCanceled, exitAnnotated, simerr.FirstLine(res.Err)
+		st.WallNS = int64(res.Wall)
 		s.mCanceled.Inc()
 	default:
 		// A completed run: clean, degraded, or annotated by a kept-prefix
 		// fault. The result document exists in all three.
-		canonical, cerr := CanonicalResult(res)
+		data, cerr := CanonicalResult(res)
 		if cerr != nil {
-			j.finish(StateFailed, exitFailure, func(j *job) { j.errMsg = cerr.Error() })
+			st.State, st.ExitCode, st.Error = StateFailed, exitFailure, cerr.Error()
 			s.mFailed.Inc()
 			break
 		}
-		code := exitClean
+		canonical = data
+		st.State, st.ExitCode = StateDone, exitClean
 		if res.Degraded || res.Err != nil {
-			code = exitAnnotated
+			st.ExitCode = exitAnnotated
 		}
-		j.finish(StateDone, code, func(j *job) {
-			j.canonical = canonical
-			j.wallNS = int64(res.Wall)
-			j.degraded = res.Degraded
-			j.requestedWP = res.RequestedWP.String()
-			j.ranWP = res.WP.String()
-			j.fault = simerr.FirstLine(res.DegradeFault)
-			j.errMsg = simerr.FirstLine(res.Err)
-		})
+		st.WallNS = int64(res.Wall)
+		st.Degraded = res.Degraded
+		st.RequestedWP = res.RequestedWP.String()
+		st.RanWP = res.WP.String()
+		st.Fault = simerr.FirstLine(res.DegradeFault)
+		st.Error = simerr.FirstLine(res.Err)
 		s.mDone.Inc()
 		// Only clean results enter the cache: a degraded or annotated
 		// document records a host-timing event (a watchdog stall, a
@@ -541,26 +539,27 @@ func (s *Server) complete(j *job, res *sim.Result, err error) {
 		// a later identical submission could legitimately complete
 		// clean. Coalesced followers still share it — they joined this
 		// execution — but the cache never replays it.
-		if s.cache != nil && code == exitClean {
+		if s.cache != nil && st.ExitCode == exitClean {
 			if s.cache.Put(j.fp, canonical) == nil {
 				s.mCacheStore.Inc()
 			}
 		}
 	}
-	s.persistTerminal(j)
+	// Write the documents from the terminal status first and publish it
+	// after: a poller that sees the job terminal then always finds them
+	// on disk, so a restart at any moment reloads what it reported.
+	if err := s.writeResult(j.id, st, canonical); err != nil {
+		st.Error = "persist: " + err.Error()
+	}
+	j.finish(st, canonical)
+	s.settle(j)
 }
 
 // persistTerminal persists a terminal job's result documents and
 // resolves its singleflight entry.
 func (s *Server) persistTerminal(j *job) {
 	if err := s.persistResult(j); err != nil {
-		// The in-memory record stands; the job will re-run on the next
-		// daemon restart (spec without result), which is safe — reruns
-		// are bit-identical by construction.
-		st := j.status()
-		j.finish(st.State, st.ExitCode, func(j *job) {
-			j.errMsg = "persist: " + err.Error()
-		})
+		j.notePersistError(err)
 	}
 	s.settle(j)
 }
@@ -590,10 +589,7 @@ func (s *Server) settle(j *job) {
 			}
 			s.mDone.Inc()
 			if err := s.persistResult(f); err != nil {
-				st := f.status()
-				f.finish(st.State, st.ExitCode, func(f *job) {
-					f.errMsg = "persist: " + err.Error()
-				})
+				f.notePersistError(err)
 			}
 		}
 		return

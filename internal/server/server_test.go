@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -322,7 +323,10 @@ func TestDrainInterruptsAndResumes(t *testing.T) {
 }
 
 // TestTerminalStatePersistsAcrossRestart: a finished job is reloaded
-// read-only — same status, same bytes, no re-execution.
+// read-only — same status, same bytes, no re-execution. The restart
+// happens the instant a busy poller first sees the job terminal: the
+// completion path writes the result documents before it publishes the
+// terminal state, so both must already be on disk then.
 func TestTerminalStatePersistsAcrossRestart(t *testing.T) {
 	stateDir := t.TempDir()
 	s1 := newTestServer(t, Config{Workers: 1, StateDir: stateDir})
@@ -330,7 +334,22 @@ func TestTerminalStatePersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	st = waitFor(t, s1, st.ID, "terminal", terminal)
+	// Busy-poll (no sleep between reads) so the first terminal
+	// observation lands as close to publication as possible.
+	for i := 0; !terminal(st); i++ {
+		if i == 1<<26 {
+			t.Fatalf("job %s never became terminal; last status %+v", st.ID, st)
+		}
+		runtime.Gosched()
+		if st, err = s1.Job(st.ID); err != nil {
+			t.Fatalf("Job: %v", err)
+		}
+	}
+	for _, name := range []string{"canonical.json", "result.json"} {
+		if _, err := os.Stat(filepath.Join(stateDir, st.ID, name)); err != nil {
+			t.Errorf("job seen %s before its %s was written: %v", st.State, name, err)
+		}
+	}
 	if st.State != StateDone {
 		t.Fatalf("state %s, want done", st.State)
 	}

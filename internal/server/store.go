@@ -85,16 +85,24 @@ func (s *Server) persistSpec(j *job) error {
 // never persisted — the absence of result.json is what re-admits them
 // on restart.
 func (s *Server) persistResult(j *job) error {
-	dir := s.jobDir(j.id)
+	canonical, _, st := j.snapshot()
+	return s.writeResult(j.id, st, canonical)
+}
+
+// writeResult writes the terminal documents of job id from st and
+// canonical (see persistResult). The run-completion path calls it
+// before publishing st, so a job is never seen terminal without them.
+func (s *Server) writeResult(id string, st Status, canonical []byte) error {
+	dir := s.jobDir(id)
 	if dir == "" {
 		return nil
 	}
-	if canonical, _ := j.result(); canonical != nil {
+	if canonical != nil {
 		if err := os.WriteFile(filepath.Join(dir, "canonical.json"), canonical, 0o644); err != nil {
 			return err
 		}
 	}
-	data, err := json.MarshalIndent(j.status(), "", "  ")
+	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -152,26 +160,20 @@ func (s *Server) loadState() (pending []*job, maxSeq int, err error) {
 			if err := json.Unmarshal(resData, &st); err != nil {
 				return nil, 0, fmt.Errorf("server: corrupt result in %s: %w", name, err)
 			}
-			j.state = st.State
-			j.exitCode = st.ExitCode
-			j.degraded = st.Degraded
-			j.requestedWP = st.RequestedWP
-			j.ranWP = st.RanWP
-			j.fault = st.Fault
-			j.errMsg = st.Error
-			j.resumed = st.Resumed
-			j.wallNS = st.WallNS
-			j.cacheDisp = st.Cache
-			j.dedupedOf = st.DedupedOf
-			j.ckptInsts.Store(st.CheckpointInsts)
 			// Only a done job may carry canonical bytes; a canceled or
 			// failed record next to a canonical.json (a crash relic)
 			// must not start serving a result it never reported.
+			var canonical []byte
 			if st.State == StateDone {
-				if canonical, err := os.ReadFile(filepath.Join(s.cfg.StateDir, name, "canonical.json")); err == nil {
-					j.canonical = canonical
+				if data, err := os.ReadFile(filepath.Join(s.cfg.StateDir, name, "canonical.json")); err == nil {
+					canonical = data
 				}
 			}
+			j.finish(st, canonical)
+			j.resumed = st.Resumed
+			j.cacheDisp = st.Cache
+			j.dedupedOf = st.DedupedOf
+			j.ckptInsts.Store(st.CheckpointInsts)
 		} else {
 			// Re-admission. A canonical.json without result.json is the
 			// relic of a crash between persistResult's two writes; drop

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -23,5 +24,15 @@ func TestPredicates(t *testing.T) {
 	add := DynInst{In: isa.Inst{Op: isa.OpAdd, Rd: isa.A0, Rs1: isa.A1, Rs2: isa.A2, Rs3: none}}
 	if add.IsMem() || add.IsControl() {
 		t.Error("alu predicates wrong")
+	}
+}
+
+// TestDynInstSize pins the record at 88 bytes: the five bools (HasAddr,
+// Recovered, Taken, WrongPath, Exit) are grouped after WP to share one
+// padding word. Every lane copy, queue ring slot and wrong-path buffer
+// holds these records, so growth here is a hot-path cost.
+func TestDynInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(DynInst{}); n > 88 {
+		t.Errorf("DynInst is %d bytes, want <= 88 (keep the bools grouped)", n)
 	}
 }

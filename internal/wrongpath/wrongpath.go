@@ -278,17 +278,28 @@ func (p *nowpPolicy) Begin(_ *Context, _ *trace.DynInst, _ uint64) []trace.DynIn
 //
 // The records are appended to buf (reused across calls) and have no
 // memory addresses: HasAddr is false. ras is the caller's pooled
-// scratch stack, re-seeded from the predictor on entry.
+// scratch stack.
 func reconstruct(ctx *Context, startPC uint64, buf []trace.DynInst, ras *branch.RAS) []trace.DynInst {
+	return reconstructFrom(ctx, startPC, ctx.Pred.SpecHistory(), buf, ras)
+}
+
+// reconstructFrom is reconstruct from pc under speculative global
+// history hist, extending a possibly partial path in buf. ras is
+// re-seeded from the predictor on entry. Each record is written in
+// place into the next slot of buf, every field overwritten.
+func reconstructFrom(ctx *Context, pc, hist uint64, buf []trace.DynInst, ras *branch.RAS) []trace.DynInst {
 	ctx.Pred.SnapshotRASInto(ras)
-	hist := ctx.Pred.SpecHistory()
-	pc := startPC
 	for len(buf) < ctx.MaxLen {
 		in, m, ok := ctx.Code.LookupMeta(pc)
 		if !ok || m.IsEcall() {
 			break
 		}
-		di := trace.DynInst{PC: pc, In: *in, WrongPath: true}
+		var di *trace.DynInst
+		buf, di = trace.Extend(buf)
+		*di = trace.DynInst{}
+		di.PC = pc
+		di.In = *in
+		di.WrongPath = true
 		next := pc + isa.InstBytes
 		switch {
 		case m.IsCondBranch():
@@ -315,12 +326,11 @@ func reconstruct(ctx *Context, startPC uint64, buf []trace.DynInst, ras *branch.
 			}
 			if !ok {
 				// No target prediction: the front end cannot continue.
-				return append(buf, di)
+				return buf
 			}
 			next = t
 		}
 		di.NextPC = next
-		buf = append(buf, di)
 		pc = next
 	}
 	return buf
@@ -594,7 +604,12 @@ outer:
 			if m.IsEcall() {
 				break outer
 			}
-			di := trace.DynInst{PC: ci.PC, In: ci.In, WrongPath: true}
+			var di *trace.DynInst
+			out, di = trace.Extend(out)
+			*di = trace.DynInst{}
+			di.PC = ci.PC
+			di.In = ci.In
+			di.WrongPath = true
 			srcDirty := false
 			for s := uint8(0); s < m.NSrcs; s++ {
 				if dirty.has(m.Srcs[s]) {
@@ -632,14 +647,13 @@ outer:
 					if predTaken {
 						di.NextPC = ci.In.Target
 					}
-					out = append(out, di)
-					return p.continueReconstruct(ctx, di.NextPC, hist, out)
+					// The initial walk is done with p.ras: reuse it.
+					return reconstructFrom(ctx, di.NextPC, hist, out, &p.ras)
 				}
 				if !m.IsCondBranch() {
 					// Dirty indirect target: cannot follow further.
 					di.Taken = true
 					di.NextPC = ci.NextPC
-					out = append(out, di)
 					return out
 				}
 			}
@@ -650,59 +664,11 @@ outer:
 			}
 			di.Taken = ci.Taken
 			di.NextPC = ci.NextPC
-			out = append(out, di)
 			cpIdx++
 			if len(out) >= ctx.MaxLen {
 				break outer
 			}
 		}
-	}
-	return out
-}
-
-// continueReconstruct extends a partially rebuilt wrong path by plain
-// predicted-path reconstruction (no addresses) from pc.
-func (p *convPolicy) continueReconstruct(ctx *Context, pc uint64, hist uint64, out []trace.DynInst) []trace.DynInst {
-	ras := &p.ras // free here: the initial reconstruct walk has finished
-	ctx.Pred.SnapshotRASInto(ras)
-	for len(out) < ctx.MaxLen {
-		in, m, ok := ctx.Code.LookupMeta(pc)
-		if !ok || m.IsEcall() {
-			break
-		}
-		di := trace.DynInst{PC: pc, In: *in, WrongPath: true}
-		next := pc + isa.InstBytes
-		switch {
-		case m.IsCondBranch():
-			di.Taken, hist = ctx.Pred.PredictCondSpec(pc, hist)
-			if di.Taken {
-				next = in.Target
-			}
-		case in.Op == isa.OpJal:
-			di.Taken = true
-			next = in.Target
-			if branch.IsCall(*in) {
-				ras.Push(pc + isa.InstBytes)
-			}
-		case in.Op == isa.OpJalr:
-			di.Taken = true
-			var t uint64
-			if branch.IsReturn(*in) {
-				t, ok = ras.Pop()
-			} else {
-				t, ok = ctx.Pred.PredictIndirect(pc)
-				if branch.IsCall(*in) {
-					ras.Push(pc + isa.InstBytes)
-				}
-			}
-			if !ok {
-				return append(out, di)
-			}
-			next = t
-		}
-		di.NextPC = next
-		out = append(out, di)
-		pc = next
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package wrongpath
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/branch"
@@ -475,5 +477,96 @@ func TestRegSet(t *testing.T) {
 	s.remove(isa.A0)
 	if s.has(isa.A0) {
 		t.Error("remove failed")
+	}
+}
+
+// poisoned returns a record with every field set to junk, standing for
+// a stale record in a reused path buffer.
+func poisoned() trace.DynInst {
+	return trace.DynInst{
+		Seq: 0xbad5e9, PC: 0xbad0c, MemAddr: 0xbadadd, NextPC: 0xbad9c,
+		In:      isa.Inst{Op: isa.OpFmadd, Rd: isa.F(9), Rs1: isa.T6, Rs2: isa.S11, Rs3: isa.F(3), Imm: -77, Target: 0xbad7a},
+		WP:      make([]trace.DynInst, 3),
+		HasAddr: true, Recovered: true, Taken: true, WrongPath: true, Exit: true,
+	}
+}
+
+// poisonedBuf returns an empty buffer of capacity n whose spare
+// capacity holds poisoned records.
+func poisonedBuf(n int) []trace.DynInst {
+	buf := make([]trace.DynInst, n)
+	for i := range buf {
+		buf[i] = poisoned()
+	}
+	return buf[:0]
+}
+
+// TestRecycledBufferMatchesFresh: reconstruction writes each record in
+// place into the next slot of a reused buffer, so a buffer whose spare
+// capacity holds stale records must yield exactly what a fresh one does
+// — for the plain walk, conv's in-place address recovery, and convres's
+// rebuilt path including the predicted continuation after a dirty
+// branch diverges (code at 0x130 makes that continuation non-empty).
+func TestRecycledBufferMatchesFresh(t *testing.T) {
+	dirtyProg := map[uint64]isa.Inst{}
+	for pc, in := range testProg {
+		dirtyProg[pc] = in
+	}
+	dirtyProg[0x12c] = isa.Inst{Op: isa.OpBne, Rd: none, Rs1: isa.T0, Rs2: isa.X0, Rs3: none, Target: 0x100}
+	dirtyProg[0x130] = isa.Inst{Op: isa.OpAddi, Rd: isa.T2, Rs1: isa.T2, Rs2: none, Rs3: none, Imm: 1}
+	dirtyProg[0x134] = isa.Inst{Op: isa.OpJal, Rd: isa.X0, Rs1: none, Rs2: none, Rs3: none, Target: 0x120}
+	// shortProg's cold prediction at 0x12c falls through to uncached
+	// 0x130, ending the plain walk after eight records, while convres
+	// follows the clean branch along the correct path and rebuilds a
+	// longer path — into slots the walk never wrote.
+	shortProg := map[uint64]isa.Inst{}
+	for pc, in := range testProg {
+		shortProg[pc] = in
+	}
+	shortProg[0x12c] = isa.Inst{Op: isa.OpBne, Rd: none, Rs1: isa.A0, Rs2: isa.X0, Rs3: none, Target: 0x100}
+	ctxFor := func(prog map[uint64]isa.Inst) *Context {
+		// takenCP's records, decoded as prog decodes them.
+		cp := takenCP(12)
+		for i := range cp {
+			cp[i].In = prog[cp[i].PC]
+		}
+		ctx := newCtx(cp)
+		ctx.Code = codecache.New()
+		for pc, in := range prog {
+			ctx.Code.Insert(pc, in)
+		}
+		return ctx
+	}
+	for _, prog := range []map[uint64]isa.Inst{testProg, dirtyProg, shortProg} {
+		for _, kind := range []Kind{InstRec, Conv, ConvResolve} {
+			fresh := New(kind).Begin(ctxFor(prog), theBranch(), 0x104)
+			if kind == ConvResolve && prog[0x130] != (isa.Inst{}) && !slices.ContainsFunc(fresh, func(d trace.DynInst) bool { return d.PC == 0x130 }) {
+				t.Fatal("convres never continued past the dirty branch: the continuation walk is untested")
+			}
+			for _, n := range []int{4, 128} {
+				p := New(kind)
+				switch p := p.(type) {
+				case *instrecPolicy:
+					p.buf = poisonedBuf(n)
+				case *convPolicy:
+					p.buf = poisonedBuf(n)
+				}
+				if got := p.Begin(ctxFor(prog), theBranch(), 0x104); !reflect.DeepEqual(got, fresh) {
+					t.Errorf("%v, cap %d: recycled buffer's %d records differ from a fresh buffer's %d", kind, n, len(got), len(fresh))
+				}
+			}
+		}
+	}
+
+	// The plain walk also keeps a caller's prefix intact (the length cap
+	// counts it).
+	prefix := poisoned()
+	prefix.WP = nil
+	ctx := ctxFor(testProg)
+	fresh := reconstruct(ctx, 0x104, nil, new(branch.RAS))
+	got := reconstruct(ctx, 0x104, append(poisonedBuf(128), prefix), new(branch.RAS))
+	want := append([]trace.DynInst{prefix}, fresh...)[:min(1+len(fresh), ctx.MaxLen)]
+	if !reflect.DeepEqual(got, want) {
+		t.Error("reconstruct into a recycled buffer with a prefix differs from a fresh walk")
 	}
 }
