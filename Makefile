@@ -36,9 +36,10 @@ race:
 # the acceptance gate for the fault-tolerance layer (see DESIGN.md,
 # "Failure model and degradation ladder").
 faults:
-	$(GO) test -race -timeout 10m -run 'Fault|Panic|Ladder|Watchdog|Corrupt|Truncat|Sweep' \
+	$(GO) test -race -timeout 10m -run 'Fault|Panic|Ladder|Watchdog|Corrupt|Truncat|Sweep|Degrad' \
 		./internal/faultinject/ ./internal/simerr/ ./internal/tracefile/ \
-		./internal/frontend/ ./internal/batch/ ./internal/sim/ ./internal/experiments/
+		./internal/frontend/ ./internal/batch/ ./internal/sim/ ./internal/experiments/ \
+		./internal/server/ ./cmd/wpsim/ ./cmd/wptrace/
 
 # chaos runs the crash-safety acceptance gate under the race detector:
 # kill runs at randomized (seeded) checkpoint boundaries, resume from
@@ -47,7 +48,8 @@ faults:
 # cancellation").
 chaos:
 	$(GO) test -race -timeout 10m -run 'Checkpoint|Resume|Chaos|CancelNoLeak' \
-		./internal/checkpoint/ ./internal/sim/ ./internal/frontend/ ./internal/experiments/
+		./internal/checkpoint/ ./internal/sim/ ./internal/frontend/ ./internal/experiments/ \
+		./internal/server/ ./cmd/wpsim/ ./cmd/wptrace/
 
 # fuzz-smoke runs each native fuzz target briefly — a coverage-guided
 # smoke pass over the two binary decoders (trace files and snapshot

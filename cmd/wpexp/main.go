@@ -72,9 +72,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget per simulation (0 = disabled); stalled cells abort with a typed error")
 		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry a cell one technique rung down instead of failing the sweep (degraded cells are annotated)")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed per cell (with -degrade)")
-		ckptDir  = fs.String("checkpoint-dir", "", "write per-cell crash-safe snapshots under this directory (empty = disabled)")
+		ckptDir  = fs.String("checkpoint-dir", "", "write per-cell crash-safe snapshots under this directory; a re-run over it resumes each cell from its newest snapshot (empty = disabled)")
 		ckptN    = fs.Uint64("checkpoint-every", 1_000_000, "snapshot interval in retired instructions (with -checkpoint-dir)")
-		resume   = fs.Bool("resume", false, "resume each cell from its latest snapshot under -checkpoint-dir; the resumed report is byte-identical to an uninterrupted sweep")
 		cacheDir = fs.String("cache-dir", "", "persist fault-free cell results under this directory and skip re-simulating them on repeated sweeps (empty = disabled)")
 		cacheMax = fs.Int("cache-max", 0, "cell-cache in-memory entry bound (with -cache-dir; 0 = default)")
 	)
@@ -118,7 +117,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	opt.CheckpointDir = *ckptDir
 	opt.CheckpointEvery = *ckptN
-	opt.Resume = *resume
 	if *cacheDir != "" {
 		cache, err := resultcache.New(*cacheDir, *cacheMax)
 		if err != nil {

@@ -27,7 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/cliobs"
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -84,9 +83,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget (0 = disabled); aborts with a typed error if the run stops advancing")
 		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry one technique rung down instead of failing")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed (with -degrade)")
-		ckptDir  = fs.String("checkpoint-dir", "", "write crash-safe state snapshots into this directory (empty = disabled)")
+		ckptDir  = fs.String("checkpoint-dir", "", "write crash-safe state snapshots into this directory; a re-run over it resumes from the newest snapshot (empty = disabled)")
 		ckptN    = fs.Uint64("checkpoint-every", 1_000_000, "snapshot interval in retired instructions (with -checkpoint-dir)")
-		resume   = fs.Bool("resume", false, "resume from the latest snapshot in -checkpoint-dir instead of starting from zero")
 		inject   = fs.String("inject", "", "fault drill: panic@N panics the frontend at instruction N on the first attempt (requires -degrade; exercises the ladder deterministically)")
 	)
 	var obsFlags cliobs.Flags
@@ -188,50 +186,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ParallelFrontend: *parallel, Watchdog: fault.Watchdog, Degrade: fault.Degrade,
 		Metrics: metrics, Trace: tsink, ObsLabel: obsLabel,
 		Ctx: ctx, CheckpointDir: *ckptDir, CheckpointEvery: *ckptN}
-	var res *sim.Result
-	if simCfg.Degrade.Enabled() {
-		// Ladder path: the first attempt consumes the prebuilt instance,
-		// retries rebuild a fresh one. With -checkpoint-dir, retries (and
-		// re-runs over a non-empty directory) resume from the latest
-		// snapshot instead of from zero. An -inject drill arms only the
-		// first attempt, so the descent it forces happens exactly once.
-		first := inst
-		res, err = sim.RunLadder(simCfg, func(c sim.Config) (sim.Source, error) {
-			armed := first != nil
-			var src sim.Source
-			if armed {
-				i := first
-				first = nil
-				src = sim.NewFunctionalSource(c, i)
-			} else {
-				retry, err := w.Build()
-				if err != nil {
-					return nil, err
-				}
-				src = sim.NewFunctionalSource(c, retry)
-			}
-			if armed && drill != nil {
+	open := sim.Instances(w, inst)
+	if drill != nil {
+		// The drill arms only the first attempt, so the descent it forces
+		// happens exactly once.
+		build := open
+		open = func(c sim.Config) (sim.Source, error) {
+			src, err := build(c)
+			if err == nil && drill != nil {
 				src = sim.WrapSource(src, drill)
 			}
-			return src, nil
-		})
-	} else {
-		snap := ""
-		if *resume && *ckptDir != "" {
-			// -resume over an empty or missing directory starts from zero
-			// (the first run of a crash-safe loop has nothing to resume).
-			snap, err = checkpoint.Latest(*ckptDir)
-			if err != nil {
-				fmt.Fprintf(stderr, "wpsim: finding latest snapshot in %s: %v\n", *ckptDir, err)
-				return exitFailure
-			}
-		}
-		if snap != "" {
-			res, err = sim.Resume(simCfg, inst, snap)
-		} else {
-			res, err = sim.Run(simCfg, inst)
+			drill = nil
+			return src, err
 		}
 	}
+	res, err := sim.Execute(simCfg, open)
 	if err != nil {
 		fmt.Fprintf(stderr, "wpsim: simulating: %v\n", err)
 		return exitFailure

@@ -132,3 +132,97 @@ func TestCompareAllAnnotatedExit(t *testing.T) {
 		t.Fatalf("annotated -wp all exit lost -metrics-out: %v", err)
 	}
 }
+
+// withoutWall drops the host-dependent wall-time line from a report.
+func withoutWall(report string) string {
+	var keep []string
+	for _, line := range strings.Split(report, "\n") {
+		if !strings.HasPrefix(line, "wall time") {
+			keep = append(keep, line)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+// snapshotsRestored sums checkpoint_restores_total in a -metrics-out
+// file.
+func snapshotsRestored(t *testing.T, path string) uint64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics []struct {
+		Name  string `json:"name"`
+		Value uint64 `json:"value"`
+	}
+	if err := json.Unmarshal(data, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	var n uint64
+	for _, m := range metrics {
+		if strings.HasPrefix(m.Name, "checkpoint_restores_total") {
+			n += m.Value
+		}
+	}
+	return n
+}
+
+// checkpointArgs runs 50k instructions with snapshots at 20k and 40k,
+// so a rerun resumes mid-run from the 40k snapshot.
+func checkpointArgs(dir string, extra ...string) []string {
+	return quickArgs(append([]string{"-max-insts", "50000", "-checkpoint-dir", dir, "-checkpoint-every", "20000"}, extra...)...)
+}
+
+// TestCheckpointRerunResumes: rerunning the same command over the same
+// -checkpoint-dir resumes from the newest snapshot — no flag asks for
+// it — and prints the first run's statistics.
+func TestCheckpointRerunResumes(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt")
+	code, first, stderr := runWpsim(t, checkpointArgs(ckpt, "-wp", "conv")...)
+	if code != exitClean {
+		t.Fatalf("first run exit %d\nstderr: %s", code, stderr)
+	}
+	metricsOut := filepath.Join(dir, "metrics.json")
+	code, again, stderr := runWpsim(t, checkpointArgs(ckpt, "-wp", "conv", "-metrics-out", metricsOut)...)
+	if code != exitClean {
+		t.Fatalf("rerun exit %d\nstderr: %s", code, stderr)
+	}
+	if n := snapshotsRestored(t, metricsOut); n != 1 {
+		t.Fatalf("rerun restored %d snapshots, want 1", n)
+	}
+	if withoutWall(again) != withoutWall(first) {
+		t.Errorf("resumed report differs from the first run\n--- first ---\n%s\n--- rerun ---\n%s", first, again)
+	}
+}
+
+// TestCheckpointTechniqueMismatch: rerunning over another technique's
+// snapshots exits 1 naming both techniques instead of reporting the
+// other technique's numbers; with -degrade the rerun starts from zero
+// and prints a fresh run's statistics.
+func TestCheckpointTechniqueMismatch(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ckpt")
+	if code, _, stderr := runWpsim(t, checkpointArgs(ckpt, "-wp", "conv")...); code != exitClean {
+		t.Fatalf("conv run exit %d\nstderr: %s", code, stderr)
+	}
+	code, _, stderr := runWpsim(t, checkpointArgs(ckpt, "-wp", "instrec")...)
+	if code != exitFailure {
+		t.Fatalf("mismatched rerun exit %d, want %d\nstderr: %s", code, exitFailure, stderr)
+	}
+	if !strings.Contains(stderr, "written by technique conv, cannot resume it as instrec") {
+		t.Errorf("stderr does not name both techniques: %s", stderr)
+	}
+
+	code, laddered, stderr := runWpsim(t, checkpointArgs(ckpt, "-wp", "instrec", "-degrade")...)
+	if code != exitClean {
+		t.Fatalf("laddered rerun exit %d\nstderr: %s", code, stderr)
+	}
+	code, fresh, stderr := runWpsim(t, quickArgs("-wp", "instrec", "-max-insts", "50000")...)
+	if code != exitClean {
+		t.Fatalf("fresh run exit %d\nstderr: %s", code, stderr)
+	}
+	if withoutWall(laddered) != withoutWall(fresh) {
+		t.Errorf("laddered rerun differs from a fresh instrec run\n--- laddered ---\n%s\n--- fresh ---\n%s", laddered, fresh)
+	}
+}

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/checkpoint"
 	"repro/internal/cliobs"
 	"repro/internal/frontend"
 	"repro/internal/functional"
@@ -75,9 +74,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget for replay (0 = disabled)")
 		degrade  = fs.Bool("degrade", false, "replay mode: degrade one technique rung down on a recoverable fault; keep the valid prefix of a corrupt trace")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed (with -degrade)")
-		ckptDir  = fs.String("checkpoint-dir", "", "replay mode: write crash-safe state snapshots into this directory (empty = disabled)")
+		ckptDir  = fs.String("checkpoint-dir", "", "replay mode: write crash-safe state snapshots into this directory; a re-run over it resumes from the newest snapshot (empty = disabled)")
 		ckptN    = fs.Uint64("checkpoint-every", 1_000_000, "snapshot interval in retired instructions (with -checkpoint-dir)")
-		resume   = fs.Bool("resume", false, "replay mode: resume from the latest snapshot in -checkpoint-dir (the trace is re-opened and skipped to the snapshot's cursor)")
 	)
 	var obsFlags cliobs.Flags
 	obsFlags.Register(fs)
@@ -95,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runReplay(stdout, stderr, &obsFlags, replayOptions{
 			path: *replay, wp: *wp, jobs: *jobs, maxInsts: *maxInsts, lane: *lane,
 			watchdog: *watchdog, degrade: *degrade, retries: *retries,
-			ckptDir: *ckptDir, ckptN: *ckptN, resume: *resume,
+			ckptDir: *ckptDir, ckptN: *ckptN,
 		})
 	default:
 		fmt.Fprintln(stderr, "wptrace: need -record or -replay; see -h")
@@ -165,7 +163,6 @@ type replayOptions struct {
 	retries  int
 	ckptDir  string
 	ckptN    uint64
-	resume   bool
 }
 
 // runReplay replays the trace. The observability lifecycle is a
@@ -217,43 +214,14 @@ func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions
 	cfg.Watchdog = o.watchdog
 	cfg.Metrics, cfg.Trace, cfg.ObsLabel = metrics, tsink, "trace:"+o.path
 	cfg.Ctx, cfg.CheckpointDir, cfg.CheckpointEvery = ctx, o.ckptDir, o.ckptN
-	var res *sim.Result
 	if o.degrade {
-		// Ladder replay: every attempt replays a fresh reader over the
-		// same bytes; a corrupt tail keeps the valid prefix, and an
-		// unsupported technique (wpemul on a trace) runs a rung down.
-		// With -checkpoint-dir, retries resume from the last snapshot.
+		// A corrupt tail keeps the valid prefix, and an unsupported
+		// technique (wpemul on a trace) runs a rung down.
 		cfg.Degrade = sim.DegradePolicy{MaxRetries: o.retries}
-		res, err = sim.RunLadder(cfg, func(c sim.Config) (sim.Source, error) {
-			r, err := tracefile.NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
-			return sim.NewTraceSource(r), nil
-		})
-		if err != nil {
-			return fail(err)
-		}
-	} else {
-		r, err := tracefile.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return fail(err)
-		}
-		snap := ""
-		if o.resume && o.ckptDir != "" {
-			// An empty or missing directory has nothing to resume.
-			if snap, err = checkpoint.Latest(o.ckptDir); err != nil {
-				return fail(fmt.Errorf("finding latest snapshot in %s: %w", o.ckptDir, err))
-			}
-		}
-		if snap != "" {
-			res, err = sim.ResumeTrace(cfg, r, snap)
-		} else {
-			res, err = sim.RunTrace(cfg, r)
-		}
-		if err != nil {
-			return fail(err)
-		}
+	}
+	res, err := sim.Execute(cfg, traceOpener(data))
+	if err != nil {
+		return fail(err)
 	}
 	fmt.Fprintf(stdout, "technique      %s\n", kind)
 	faulted := false
@@ -303,16 +271,12 @@ func replayAll(ctx context.Context, stdout io.Writer, path string, maxInsts uint
 	runJobs := make([]func() (*sim.Result, error), len(kinds))
 	for i, k := range kinds {
 		runJobs[i] = func() (*sim.Result, error) {
-			r, err := tracefile.NewReader(bytes.NewReader(data))
-			if err != nil {
-				return nil, err
-			}
 			cfg := sim.Default(k)
 			cfg.MaxInsts = maxInsts
 			cfg.Watchdog = watchdog
 			cfg.Metrics, cfg.Trace, cfg.ObsLabel = metrics, tsink, "trace:"+path
 			cfg.Ctx = ctx
-			return sim.RunTrace(cfg, r)
+			return sim.Execute(cfg, traceOpener(data))
 		}
 	}
 	results := batch.RunContext(ctx, runJobs, jobs)
@@ -339,4 +303,17 @@ func replayAll(ctx context.Context, stdout io.Writer, path string, maxInsts uint
 		fmt.Fprintf(stdout, "\n(wall clocks from concurrent runs; use -jobs 1 for calibrated timing)\n")
 	}
 	return faulted, nil
+}
+
+// traceOpener opens a fresh reader over the in-memory trace bytes for
+// every attempt (a replay consumes its reader; a resume skips a fresh
+// one forward to the snapshot's cursor).
+func traceOpener(data []byte) func(sim.Config) (sim.Source, error) {
+	return func(sim.Config) (sim.Source, error) {
+		r, err := tracefile.NewReader(bytes.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		return sim.NewTraceSource(r), nil
+	}
 }

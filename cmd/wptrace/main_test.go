@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,5 +76,56 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code, _, _ := runWptrace(t, "-bogus"); code != exitUsage {
 		t.Errorf("bad flag: exit %d, want %d", code, exitUsage)
+	}
+}
+
+// TestCheckpointReplayRerunResumes: replaying again over the same
+// -checkpoint-dir resumes from the newest snapshot — no flag asks for
+// it — and prints the first replay's statistics.
+func TestCheckpointReplayRerunResumes(t *testing.T) {
+	trace := recordSmallTrace(t)
+	dir := t.TempDir()
+	args := []string{"-replay", trace, "-wp", "conv",
+		"-checkpoint-dir", filepath.Join(dir, "ckpt"), "-checkpoint-every", "8000"}
+	code, first, stderr := runWptrace(t, args...)
+	if code != exitClean {
+		t.Fatalf("first replay exit %d\nstderr: %s", code, stderr)
+	}
+	metricsOut := filepath.Join(dir, "metrics.json")
+	code, again, stderr := runWptrace(t, append(args, "-metrics-out", metricsOut)...)
+	if code != exitClean {
+		t.Fatalf("rerun exit %d\nstderr: %s", code, stderr)
+	}
+	data, err := os.ReadFile(metricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics []struct {
+		Name  string `json:"name"`
+		Value uint64 `json:"value"`
+	}
+	if err := json.Unmarshal(data, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	restored := uint64(0)
+	for _, m := range metrics {
+		if strings.HasPrefix(m.Name, "checkpoint_restores_total") {
+			restored += m.Value
+		}
+	}
+	if restored != 1 {
+		t.Fatalf("rerun restored %d snapshots, want 1", restored)
+	}
+	withoutWall := func(report string) string {
+		var keep []string
+		for _, line := range strings.Split(report, "\n") {
+			if !strings.HasPrefix(line, "wall time") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
+	}
+	if withoutWall(again) != withoutWall(first) {
+		t.Errorf("resumed replay differs from the first\n--- first ---\n%s\n--- rerun ---\n%s", first, again)
 	}
 }

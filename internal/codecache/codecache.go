@@ -230,9 +230,10 @@ func (c *Cache) entryFor(pc uint64, create bool) *entry {
 	return &p.ents[idx&pageMask]
 }
 
-// Insert records the decode information for the instruction at pc.
-// Called for every correct-path instruction the performance simulator
-// consumes.
+// Insert records the decode information for the instruction at pc. It
+// is InsertGet without the Meta result; the simulator itself calls
+// InsertGet for every consumed correct-path instruction, and Insert
+// seeds caches in the wrongpath and codecache tests.
 func (c *Cache) Insert(pc uint64, in isa.Inst) {
 	c.InsertGet(pc, &in)
 }

@@ -23,7 +23,7 @@ func (r *Runner) runWith(w workloads.Workload, cfg sim.Config) (*sim.Result, err
 		// watchdog leaves their statistics bit-identical.
 		cfg.Watchdog = r.opt.Watchdog
 	}
-	return sim.Run(cfg, inst)
+	return sim.Execute(cfg, sim.Instances(w, inst))
 }
 
 // runBatch fans independent custom-configuration runs out over the

@@ -26,7 +26,7 @@ func chaosOptions(out *strings.Builder, jobs int) Options {
 
 // TestChaosKillResumeReportByteIdentical is the sweep-level crash
 // acceptance test: a sweep killed at a checkpoint boundary and re-run
-// with -resume over the same checkpoint directory must produce a final
+// over the same checkpoint directory must produce a final
 // report byte-identical to a sweep that was never interrupted — and
 // enabling checkpointing at all must not change a byte either.
 func TestChaosKillResumeReportByteIdentical(t *testing.T) {
@@ -91,7 +91,6 @@ func TestChaosKillResumeReportByteIdentical(t *testing.T) {
 	ropt := chaosOptions(&resumedOut, 1)
 	ropt.CheckpointDir = dir
 	ropt.CheckpointEvery = 10_000
-	ropt.Resume = true
 	resumed := NewRunner(ropt)
 	if err := resumed.Run(exp); err != nil {
 		t.Fatal(err)

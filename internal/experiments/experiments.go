@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/batch"
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/resultcache"
@@ -128,12 +127,6 @@ type Options struct {
 	// CheckpointEvery is the snapshot interval in retired instructions
 	// (0 with CheckpointDir set disables snapshots).
 	CheckpointEvery uint64
-	// Resume makes every cell restart from its latest snapshot under
-	// CheckpointDir (cells with no snapshot run from zero) — the
-	// crash-recovery path after a killed sweep. The resumed report is
-	// byte-identical to an uninterrupted one. (The degradation ladder
-	// resumes its own retries regardless of this flag.)
-	Resume bool
 	// OnCheckpoint, when non-nil, observes every snapshot write (the
 	// chaos harness's kill hook). It runs on the simulating goroutine.
 	OnCheckpoint func(insts uint64, path string)
@@ -208,21 +201,14 @@ func cacheKey(w workloads.Workload, k wrongpath.Kind) string {
 	return w.Suite + "/" + w.Name + "/" + k.String()
 }
 
-// faultLayer reports whether any part of the fault-tolerance layer is
-// armed; when it is not, simulate takes the exact pre-existing path, so
-// reports stay byte-identical to a runner without the layer.
-func (r *Runner) faultLayer() bool {
-	return r.opt.Watchdog > 0 || r.opt.MaxRetries > 0 || r.opt.WrapSource != nil
-}
-
 // simulate runs one workload under one technique with the runner's
 // core configuration. It is pure (no cache or progress access), so the
 // batch engine may call it from any worker goroutine.
 //
-// With the fault-tolerance layer armed it runs through the degradation
-// ladder: the first attempt consumes the prebuilt instance, retries
-// build fresh ones, and the configured WrapSource hook may inject
-// faults per (workload, technique) attempt.
+// The cell is one sim.Execute call: the first attempt consumes the
+// prebuilt instance, ladder retries build fresh ones, and the
+// configured WrapSource hook may inject faults per (workload,
+// technique) attempt.
 func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, error) {
 	inst, err := w.Build()
 	if err != nil {
@@ -244,7 +230,8 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 	// The persistent cell cache sits outside the fault layer: an armed
 	// watchdog, ladder, or injector means this cell's outcome depends on
 	// more than its configuration, so neither probe nor store.
-	useCache := r.opt.Cache != nil && !r.faultLayer()
+	faultLayer := r.opt.Watchdog > 0 || r.opt.MaxRetries > 0 || r.opt.WrapSource != nil
+	useCache := r.opt.Cache != nil && !faultLayer
 	var fp string
 	if useCache {
 		fp = r.cellFingerprint(w, cfg)
@@ -257,29 +244,18 @@ func (r *Runner) simulate(w workloads.Workload, k wrongpath.Kind) (*sim.Result, 
 		}
 	}
 	r.simulated.Add(1)
-	var res *sim.Result
-	if r.faultLayer() {
-		first := inst
-		res, err = sim.RunLadder(cfg, func(c sim.Config) (sim.Source, error) {
-			attempt := first
-			first = nil
-			if attempt == nil {
-				var berr error
-				if attempt, berr = w.Build(); berr != nil {
-					return nil, berr
-				}
+	open := sim.Instances(w, inst)
+	if wrap := r.opt.WrapSource; wrap != nil {
+		build := open
+		open = func(c sim.Config) (sim.Source, error) {
+			src, err := build(c)
+			if err != nil {
+				return nil, err
 			}
-			src := sim.NewFunctionalSource(c, attempt)
-			if r.opt.WrapSource != nil {
-				src = r.opt.WrapSource(src, w, c.WP)
-			}
-			return src, nil
-		})
-	} else if snap := r.latestSnapshot(cfg); snap != "" {
-		res, err = sim.Resume(cfg, inst, snap)
-	} else {
-		res, err = sim.Run(cfg, inst)
+			return wrap(src, w, c.WP), nil
+		}
 	}
+	res, err := sim.Execute(cfg, open)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", cacheKey(w, k), err)
 	}
@@ -325,19 +301,6 @@ func storeCell(c *resultcache.Cache, fp string, res *sim.Result) {
 		return
 	}
 	_ = c.Put(fp, data)
-}
-
-// latestSnapshot returns the cell's newest resumable snapshot, or "".
-// (The ladder path finds its own snapshots inside sim.RunLadder.)
-func (r *Runner) latestSnapshot(cfg sim.Config) string {
-	if !r.opt.Resume || cfg.CheckpointDir == "" || cfg.CheckpointEvery == 0 {
-		return ""
-	}
-	snap, err := checkpoint.Latest(cfg.CheckpointDir)
-	if err != nil {
-		return ""
-	}
-	return snap
 }
 
 // noteIncomplete records a canceled cell for the INCOMPLETE footnote.

@@ -58,24 +58,14 @@ const DefaultBatch = 256
 // paper's "tens up to thousands" of queued instructions.
 const DefaultDepth = 16
 
-// NewParallel starts the producer goroutine. Close must be called when
-// the consumer is done (sim.Run does this), otherwise the goroutine
-// leaks blocked on a full channel. NewParallelContext removes that
-// footgun for cancellable runs.
-func NewParallel(src interface {
-	Next() (trace.DynInst, bool)
-}, batch, depth int) *Parallel {
-	return NewParallelContext(context.Background(), src, batch, depth)
-}
-
-// NewParallelContext is NewParallel bound to a run context: every
-// channel wait — producer sends and consumer receives alike — also
-// selects on ctx.Done, so a consumer that stops without calling Close
-// (a panic unwinding past the simulation loop, a canceled sweep cell)
-// cannot strand the producer goroutine blocked on a full channel.
-// Close is still required for a prompt, waited teardown; the context is
-// the backstop that turns a missed Close from a permanent goroutine
-// leak into an eventual exit. A nil ctx behaves like
+// NewParallelContext starts the producer goroutine, bound to a run
+// context: every channel wait — producer sends and consumer receives
+// alike — also selects on ctx.Done, so a consumer that stops without
+// calling Close (a panic unwinding past the simulation loop, a canceled
+// sweep cell) cannot strand the producer goroutine blocked on a full
+// channel. Close is still required for a prompt, waited teardown; the
+// context is the backstop that turns a missed Close from a permanent
+// goroutine leak into an eventual exit. A nil ctx behaves like
 // context.Background (no backstop).
 func NewParallelContext(ctx context.Context, src interface {
 	Next() (trace.DynInst, bool)

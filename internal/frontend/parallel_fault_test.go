@@ -1,6 +1,7 @@
 package frontend_test
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -28,7 +29,7 @@ func drainParallel(p *frontend.Parallel) int {
 // end-of-stream and Err reports a typed ErrWorkerPanic carrying the
 // stack.
 func TestParallelProducerPanicContained(t *testing.T) {
-	p := frontend.NewParallel(faultinject.PanicAt(&countProducer{max: 1000}, 500, "boom"), 64, 4)
+	p := frontend.NewParallelContext(context.Background(), faultinject.PanicAt(&countProducer{max: 1000}, 500, "boom"), 64, 4)
 	n := drainParallel(p)
 	if n >= 500 {
 		t.Errorf("delivered %d instructions past the panic point", n)
@@ -51,7 +52,7 @@ func TestParallelProducerPanicContained(t *testing.T) {
 func TestParallelCloseAfterPanicNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		p := frontend.NewParallel(faultinject.PanicAt(&countProducer{max: 100}, 1, "early"), 8, 2)
+		p := frontend.NewParallelContext(context.Background(), faultinject.PanicAt(&countProducer{max: 100}, 1, "early"), 8, 2)
 		p.Close()
 		p.Close()
 	}
@@ -68,7 +69,7 @@ func TestParallelInterruptUnblocksFrozenProducer(t *testing.T) {
 	// (one sent batch + one full buffer), so a freeze at call 6 engages
 	// before the producer blocks on the channel.
 	fz := faultinject.FreezeAt(&countProducer{max: 1000}, 6)
-	p := frontend.NewParallel(fz, 4, 1)
+	p := frontend.NewParallelContext(context.Background(), fz, 4, 1)
 
 	select {
 	case <-fz.Frozen():
@@ -97,7 +98,7 @@ func TestParallelInterruptUnblocksFrozenProducer(t *testing.T) {
 func TestParallelCloseNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 20; i++ {
-		p := frontend.NewParallel(&countProducer{max: 10_000}, 64, 2)
+		p := frontend.NewParallelContext(context.Background(), &countProducer{max: 10_000}, 64, 2)
 		if i%2 == 0 {
 			drainParallel(p)
 		} else {

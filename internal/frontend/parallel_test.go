@@ -29,7 +29,7 @@ func (p *countProducer) Next() (trace.DynInst, bool) {
 
 func TestParallelDeliversEverythingInOrder(t *testing.T) {
 	for _, total := range []int{0, 1, 255, 256, 257, 5000} {
-		p := frontend.NewParallel(&countProducer{max: total}, 64, 4)
+		p := frontend.NewParallelContext(context.Background(), &countProducer{max: total}, 64, 4)
 		for i := 0; i < total; i++ {
 			d, ok := p.Next()
 			if !ok {
@@ -54,7 +54,7 @@ func TestParallelCloseEarly(t *testing.T) {
 	// A producer far larger than the channel capacity: Close must
 	// unblock and stop the goroutine even though the consumer quit
 	// early.
-	p := frontend.NewParallel(&countProducer{max: 1_000_000}, 64, 2)
+	p := frontend.NewParallelContext(context.Background(), &countProducer{max: 1_000_000}, 64, 2)
 	for i := 0; i < 10; i++ {
 		if _, ok := p.Next(); !ok {
 			t.Fatal("early end")
@@ -106,7 +106,7 @@ func TestParallelCancelNoLeak(t *testing.T) {
 }
 
 func TestParallelDefaults(t *testing.T) {
-	p := frontend.NewParallel(&countProducer{max: 10}, 0, 0)
+	p := frontend.NewParallelContext(context.Background(), &countProducer{max: 10}, 0, 0)
 	n := 0
 	for {
 		if _, ok := p.Next(); !ok {
@@ -132,7 +132,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		want = append(want, d)
 	}
 
-	par := frontend.NewParallel(frontend.New(newCPU(t)), 32, 4)
+	par := frontend.NewParallelContext(context.Background(), frontend.New(newCPU(t)), 32, 4)
 	defer par.Close()
 	for i := range want {
 		got, ok := par.Next()
@@ -175,7 +175,7 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("batched", func(t *testing.T) {
-		p := frontend.NewParallel(frontend.New(functional.New(prog, mem.New(), 0)), 0, 0)
+		p := frontend.NewParallelContext(context.Background(), frontend.New(functional.New(prog, mem.New(), 0)), 0, 0)
 		defer p.Close()
 		dst := make([]trace.DynInst, 2000)
 		short := 0
@@ -195,7 +195,7 @@ func TestParallelSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	t.Run("per-record", func(t *testing.T) {
-		p := frontend.NewParallel(&countProducer{max: 1 << 30}, 0, 0)
+		p := frontend.NewParallelContext(context.Background(), &countProducer{max: 1 << 30}, 0, 0)
 		defer p.Close()
 		short := 0
 		pull := func() {

@@ -95,9 +95,6 @@ func (c *CPU) Halted() bool { return c.halted }
 // ExitCode returns the program's exit code (valid after Halted).
 func (c *CPU) ExitCode() int64 { return c.exitCode }
 
-// Retired returns the number of retired correct-path instructions.
-func (c *CPU) Retired() uint64 { return c.instret }
-
 // Reg returns the value of an integer register.
 func (c *CPU) Reg(r isa.Reg) uint64 {
 	if r.IsFP() || !r.Valid() {

@@ -451,7 +451,7 @@ correct:
 		t.Fatal("branch should be taken")
 	}
 	before := cpu.Checkpoint()
-	retired := cpu.Retired()
+	retired := functional.Instret(cpu)
 
 	wrongTarget := di.PC + isa.InstBytes // mispredicted not-taken
 	wp := cpu.WrongPathEmulate(wrongTarget, 100)
@@ -478,7 +478,7 @@ correct:
 	if before != after {
 		t.Error("architectural state not restored")
 	}
-	if cpu.Retired() != retired {
+	if functional.Instret(cpu) != retired {
 		t.Error("retired count changed")
 	}
 	if cpu.Halted() {

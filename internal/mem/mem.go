@@ -109,9 +109,6 @@ func (m *Memory) ReadUint64(addr uint64) uint64 { return m.Read(addr, 8) }
 // WriteUint64 writes an 8-byte little-endian value.
 func (m *Memory) WriteUint64(addr uint64, v uint64) { m.Write(addr, v, 8) }
 
-// ReadUint32 reads a 4-byte little-endian value.
-func (m *Memory) ReadUint32(addr uint64) uint32 { return uint32(m.Read(addr, 4)) }
-
 // WriteUint32 writes a 4-byte little-endian value.
 func (m *Memory) WriteUint32(addr uint64, v uint32) { m.Write(addr, uint64(v), 4) }
 
@@ -139,39 +136,11 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	}
 }
 
-// ReadBytes copies len(b) bytes starting at addr into b.
-func (m *Memory) ReadBytes(addr uint64, b []byte) {
-	for len(b) > 0 {
-		off := addr & pageMask
-		n := PageSize - int(off)
-		if n > len(b) {
-			n = len(b)
-		}
-		p := m.page(addr, false)
-		if p == nil {
-			for i := 0; i < n; i++ {
-				b[i] = 0
-			}
-		} else {
-			copy(b[:n], p[off:int(off)+n])
-		}
-		addr += uint64(n)
-		b = b[n:]
-	}
-}
-
 // WriteUint64Slice lays out vals as consecutive 8-byte values at addr;
 // the workload loaders use it to place graph arrays.
 func (m *Memory) WriteUint64Slice(addr uint64, vals []uint64) {
 	for i, v := range vals {
 		m.WriteUint64(addr+uint64(i)*8, v)
-	}
-}
-
-// WriteUint32Slice lays out vals as consecutive 4-byte values at addr.
-func (m *Memory) WriteUint32Slice(addr uint64, vals []uint32) {
-	for i, v := range vals {
-		m.WriteUint32(addr+uint64(i)*4, v)
 	}
 }
 

@@ -191,33 +191,15 @@ func runSpec(spec JobSpec, mod func(*sim.Config)) (*sim.Result, bool, error) {
 	if cfg.MaxInsts == 0 {
 		cfg.MaxInsts = inst.SuggestedMaxInsts
 	}
-	if cfg.Degrade.Enabled() {
-		// Ladder path: the first attempt consumes the prebuilt instance,
-		// retries rebuild a fresh one. RunLadder resumes each rung from
-		// the newest snapshot in cfg.CheckpointDir itself; detect that
-		// here only to report it.
-		resumed := false
-		if cfg.CheckpointDir != "" {
-			if snap, _ := checkpoint.Latest(cfg.CheckpointDir); snap != "" {
-				resumed = true
-			}
-		}
-		first := inst
-		res, err := sim.RunLadder(cfg, func(c sim.Config) (sim.Source, error) {
-			if first != nil {
-				i := first
-				first = nil
-				return sim.NewFunctionalSource(c, i), nil
-			}
-			retry, err := w.Build()
-			if err != nil {
-				return nil, fmt.Errorf("rebuilding %s/%s: %w", spec.Suite, spec.Bench, err)
-			}
-			return sim.NewFunctionalSource(c, retry), nil
-		})
-		return res, resumed, err
+	// Execute resumes from the newest snapshot in cfg.CheckpointDir by
+	// itself; probe here only to report it.
+	resumed := false
+	if cfg.CheckpointDir != "" && cfg.CheckpointEvery > 0 {
+		snap, _ := checkpoint.Latest(cfg.CheckpointDir)
+		resumed = snap != ""
 	}
-	return sim.RunOrResume(cfg, inst)
+	res, err := sim.Execute(cfg, sim.Instances(w, inst))
+	return res, resumed, err
 }
 
 // RunDirect runs the spec exactly as a worker would, minus every

@@ -18,7 +18,7 @@ import (
 //	    ckpt/          the sim checkpoint chain (ckpt-*.wpsnap)
 //
 // A job directory holding a spec but no result is unfinished work: the
-// next daemon run re-admits it and RunOrResume picks the newest
+// next daemon run re-admits it and sim.Execute resumes from the newest
 // snapshot in ckpt/, so a SIGTERM'd or crashed daemon resumes every
 // in-flight and queued job bit-identically.
 

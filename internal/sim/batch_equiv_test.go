@@ -110,17 +110,11 @@ func TestRunKindsBatchBitIdentical(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	refCfg := Default(wrongpath.NoWP)
 	refCfg.Core.Batch = 1
-	refs, err := RunAll(refCfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gots, err := RunAll(Default(wrongpath.NoWP), w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refs := runEveryKind(t, refCfg, w)
+	gots := runEveryKind(t, Default(wrongpath.NoWP), w)
 	for _, k := range wrongpath.Kinds() {
 		if !reflect.DeepEqual(stripHost(gots[k]), stripHost(refs[k])) {
-			t.Errorf("%v: batched RunAll result diverges from per-instruction", k)
+			t.Errorf("%v: batched sweep result diverges from per-instruction", k)
 		}
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"repro/internal/checkpoint"
-	"repro/internal/queue"
 	"repro/internal/simerr"
-	"repro/internal/workloads"
 )
 
 // sessionSnapshotVersion stamps the session-level snapshot header; bump
@@ -67,15 +66,18 @@ func (c Config) checkpointEnabled() bool {
 // the run that wrote it. The wrong-path technique and the consumer lane
 // size are deliberately absent: the snapshot instants and every
 // serialized structure are identical across lane sizes (lane batching
-// is bit-exact), and the degradation ladder resumes a snapshot one
-// technique rung down (the policy statistics section is simply skipped
-// on a technique mismatch).
+// is bit-exact), and the technique is checked separately (Restore
+// rejects a mismatch; a degradation-ladder retry resumes a snapshot one
+// technique rung down and skips the policy statistics section).
 //
-// The same exclusion argument makes canonical results content-
-// addressable: everything this string captures can change result
-// bytes, everything it omits provably cannot, which is why the serving
-// layer's result cache (internal/resultcache, keyed by specfp
-// fingerprints) folds it into its content address.
+// The serving layer's result cache (internal/resultcache, keyed by
+// specfp fingerprints) folds this string into its content address, but
+// the string is not yet a total description of what determines result
+// bytes: DescribeConfig omits the branch predictor kind and its
+// ChoiceBits/HistoryLen (core.Config.BranchPred), the functional-unit
+// mix (core.Config.FUs) and the next-line prefetcher
+// (core.Config.Hierarchy.NextLinePrefetch), all of which change
+// results. Making result identity total is ROADMAP item 1.
 func (c Config) Fingerprint() string {
 	return fmt.Sprintf("max=%d warm=%d lookahead=%d\n%s",
 		c.MaxInsts, c.WarmupInsts, c.lookahead(), DescribeConfig(c.Core))
@@ -170,10 +172,33 @@ func (ck *checkpointer) write(insts uint64) (string, int, error) {
 // It must be called before Run; the subsequent Run then skips the
 // warmup phase (the snapshot was taken inside the measured phase, past
 // warmup) and continues to a Result bit-identical to an uninterrupted
-// run. A fingerprint mismatch is a typed simerr.ErrConfig fault; decode
-// failures are typed corruption faults. On any error the session is
-// left partially overwritten and must be discarded.
-func (s *Session) Restore(r *checkpoint.Reader) error {
+// run. A fingerprint or technique mismatch is a typed simerr.ErrConfig
+// fault; decode failures are typed corruption faults. On any error the
+// session is left partially overwritten and must be discarded.
+func (s *Session) Restore(r *checkpoint.Reader) error { return s.restore(r, false) }
+
+// resume applies Execute's resume rule: with checkpointing enabled,
+// restore the newest snapshot in the checkpoint directory, if any.
+// descent marks a degradation-ladder retry, the one case in which a
+// snapshot written under another technique may restore.
+func (s *Session) resume(descent bool) error {
+	if !s.cfg.checkpointEnabled() {
+		return nil
+	}
+	snap, err := checkpoint.Latest(s.cfg.CheckpointDir)
+	if err != nil || snap == "" {
+		return err
+	}
+	r, err := checkpoint.ReadFile(snap)
+	if err != nil {
+		return err
+	}
+	return s.restore(r, descent)
+}
+
+// restore is Restore; with descent set it also accepts a snapshot
+// written under another technique.
+func (s *Session) restore(r *checkpoint.Reader, descent bool) error {
 	cs, err := checkpointState(s.src)
 	if err != nil {
 		return err
@@ -191,6 +216,10 @@ func (s *Session) Restore(r *checkpoint.Reader) error {
 		return simerr.Config("restoring snapshot",
 			fmt.Errorf("sim: snapshot was written under a different configuration\nsnapshot:\n%s\nresuming:\n%s", fp, s.cfg.Fingerprint()))
 	}
+	if kind != s.cfg.WP.String() && !descent {
+		return simerr.Config("restoring snapshot",
+			fmt.Errorf("sim: snapshot was written by technique %s, cannot resume it as %s (only a degradation-ladder retry resumes another technique's snapshot)", kind, s.cfg.WP))
+	}
 	if err := cs.RestoreState(r); err != nil {
 		return err
 	}
@@ -202,7 +231,7 @@ func (s *Session) Restore(r *checkpoint.Reader) error {
 	}
 	if kind == s.cfg.WP.String() {
 		// Same technique: the policy statistics continue. On a ladder
-		// downgrade the snapshot's policy counters belong to the higher
+		// descent the snapshot's policy counters belong to the higher
 		// rung; the fresh policy starts its own count (the result is
 		// annotated as degraded either way).
 		if err := s.policy.Stats().RestoreState(r); err != nil {
@@ -215,80 +244,15 @@ func (s *Session) Restore(r *checkpoint.Reader) error {
 	return nil
 }
 
-// Resume restores the snapshot at snapPath into a fresh session over
-// the workload instance and continues the run. The configuration must
-// match the one the snapshot was written under (fingerprint-checked);
-// the Result is bit-identical to an uninterrupted run of that
-// configuration.
-func Resume(cfg Config, inst *workloads.Instance, snapPath string) (*Result, error) {
-	r, err := checkpoint.ReadFile(snapPath)
-	if err != nil {
-		return nil, err
-	}
-	src := NewFunctionalSource(cfg, inst)
-	s, err := NewSession(cfg, src)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	if err := s.Restore(r); err != nil {
-		src.Close()
-		return nil, err
-	}
-	res := s.Run()
-	cfg.publish(res)
-	return res, nil
-}
-
-// RunOrResume runs the instance, first restoring the newest snapshot in
-// cfg.CheckpointDir when checkpointing is enabled and the directory
-// holds one — the crash-safe serving loop's entry point (a fresh or
-// empty directory runs from zero). The returned bool reports whether a
-// snapshot was restored. Either way the Result is bit-identical to an
-// uninterrupted Run of the same configuration.
-func RunOrResume(cfg Config, inst *workloads.Instance) (*Result, bool, error) {
-	if cfg.checkpointEnabled() {
-		snap, err := checkpoint.Latest(cfg.CheckpointDir)
-		if err != nil {
-			return nil, false, err
-		}
-		if snap != "" {
-			res, err := Resume(cfg, inst, snap)
-			return res, true, err
-		}
-	}
-	res, err := Run(cfg, inst)
-	return res, false, err
-}
-
-// ResumeTrace is Resume for a pre-recorded trace: src must be a fresh
-// reader positioned at the start of the same trace (the snapshot's
-// cursor is replayed forward over it).
-func ResumeTrace(cfg Config, src queue.Producer, snapPath string) (*Result, error) {
-	r, err := checkpoint.ReadFile(snapPath)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewSession(cfg, NewTraceSource(src))
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Restore(r); err != nil {
-		return nil, err
-	}
-	res := s.Run()
-	cfg.publish(res)
-	return res, nil
-}
-
 // canceler is the cancellation watcher: a goroutine that interrupts the
 // source when the run's context is done, unblocking a producer stuck in
 // channel or I/O waits. The prompt-stop path is the core's lane hook
 // polling the context; this goroutine only exists to release blocked
-// waits. stop must be called exactly once.
+// waits. stop must be called at least once; repeated calls are no-ops.
 type canceler struct {
 	done chan struct{}
 	ack  chan struct{}
+	once sync.Once
 }
 
 func startCanceler(ctx context.Context, src Source) *canceler {
@@ -305,6 +269,8 @@ func startCanceler(ctx context.Context, src Source) *canceler {
 }
 
 func (c *canceler) stop() {
-	close(c.done)
-	<-c.ack
+	c.once.Do(func() {
+		close(c.done)
+		<-c.ack
+	})
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -11,7 +10,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/simerr"
-	"repro/internal/tracefile"
 	"repro/internal/workloads/gap"
 	"repro/internal/wrongpath"
 )
@@ -39,6 +37,27 @@ func stripWall(r *Result) *Result {
 	c := *r
 	c.Wall = 0
 	return &c
+}
+
+// resumeFrom restores one specific snapshot into a fresh session over
+// src and runs it — the by-hand counterpart of Execute's rule, which
+// always picks the newest snapshot in the checkpoint directory.
+func resumeFrom(cfg Config, src Source, snap string) (*Result, error) {
+	r, err := checkpoint.ReadFile(snap)
+	if err != nil {
+		src.Close()
+		return nil, err
+	}
+	s, err := NewSession(cfg, src)
+	if err != nil {
+		src.Close()
+		return nil, err
+	}
+	if err := s.Restore(r); err != nil {
+		src.Close()
+		return nil, err
+	}
+	return s.Run(), nil
 }
 
 // chaosConfig is the shared cell configuration: a short bounded run
@@ -103,7 +122,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				rcfg := cfg
 				rcfg.CheckpointDir = dir
 				rcfg.CheckpointEvery = 8_000
-				resumed, err := Resume(rcfg, w.MustBuild(), snap)
+				resumed, err := resumeFrom(rcfg, NewFunctionalSource(rcfg, w.MustBuild()), snap)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -198,7 +217,8 @@ func TestResumeAcrossLaneSizes(t *testing.T) {
 	if err != nil || snap == "" {
 		t.Fatalf("no snapshot: %q, %v", snap, err)
 	}
-	resumed, err := Resume(chaosConfig(wrongpath.Conv, 1), w.MustBuild(), snap)
+	rcfg := chaosConfig(wrongpath.Conv, 1)
+	resumed, err := resumeFrom(rcfg, NewFunctionalSource(rcfg, w.MustBuild()), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,17 +235,10 @@ func TestResumeAcrossLaneSizes(t *testing.T) {
 // and matches the uninterrupted replay bit-for-bit.
 func TestResumeTraceBitIdentical(t *testing.T) {
 	raw := recordTrace(t)
-	reader := func() *tracefile.Reader {
-		r, err := tracefile.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
 
 	cfg := Default(wrongpath.Conv)
 	cfg.MaxInsts = 30_000
-	base, err := RunTrace(cfg, reader())
+	base, err := Execute(cfg, traceOpener(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +254,7 @@ func TestResumeTraceBitIdentical(t *testing.T) {
 	ccfg.CheckpointDir = dir
 	ccfg.CheckpointEvery = 10_000
 	ccfg.OnCheckpoint = func(insts uint64, path string) { cancel() }
-	killed, err := RunTrace(ccfg, reader())
+	killed, err := Execute(ccfg, traceOpener(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +265,11 @@ func TestResumeTraceBitIdentical(t *testing.T) {
 	if err != nil || snap == "" {
 		t.Fatalf("no snapshot: %q, %v", snap, err)
 	}
-	resumed, err := ResumeTrace(cfg, reader(), snap)
+	src, err := traceOpener(raw)(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := resumeFrom(cfg, src, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +300,7 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	}
 	bad := cfg
 	bad.MaxInsts = 50_000
-	if _, err := Resume(bad, w.MustBuild(), snap); !errors.Is(err, simerr.ErrConfig) {
+	if _, err := resumeFrom(bad, NewFunctionalSource(bad, w.MustBuild()), snap); !errors.Is(err, simerr.ErrConfig) {
 		t.Fatalf("mismatched resume err = %v, want ErrConfig", err)
 	}
 }
@@ -313,7 +330,7 @@ func TestResumeCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(mangled, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Resume(cfg, w.MustBuild(), mangled); !errors.Is(err, simerr.ErrTraceCorrupt) {
+	if _, err := resumeFrom(cfg, NewFunctionalSource(cfg, w.MustBuild()), mangled); !errors.Is(err, simerr.ErrTraceCorrupt) {
 		t.Fatalf("corrupt resume err = %v, want ErrTraceCorrupt", err)
 	}
 }

@@ -32,9 +32,8 @@ func recordTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// traceLadderSource builds a fresh trace source per ladder attempt.
-func traceLadderSource(t *testing.T, data []byte) func(Config) (Source, error) {
-	t.Helper()
+// traceOpener builds a fresh trace source over data for every attempt.
+func traceOpener(data []byte) func(Config) (Source, error) {
 	return func(Config) (Source, error) {
 		r, err := tracefile.NewReader(bytes.NewReader(data))
 		if err != nil {
@@ -161,7 +160,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 	data := recordTrace(t)
 	cfg := Default(wrongpath.WPEmul)
 	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, err := RunLadder(cfg, traceLadderSource(t, data))
+	res, err := Execute(cfg, traceOpener(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 	}
 
 	// The degraded cell must equal a direct conv replay bit-for-bit.
-	direct, err := RunLadder(Default(wrongpath.Conv), traceLadderSource(t, data))
+	direct, err := Execute(Default(wrongpath.Conv), traceOpener(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +185,7 @@ func TestLadderDegradesUnsupported(t *testing.T) {
 // capability fault surfaces as a typed error, same as before.
 func TestLadderDisabledStillRejectsUnsupported(t *testing.T) {
 	data := recordTrace(t)
-	_, err := RunLadder(Default(wrongpath.WPEmul), traceLadderSource(t, data))
+	_, err := Execute(Default(wrongpath.WPEmul), traceOpener(data))
 	if !errors.Is(err, simerr.ErrUnsupported) {
 		t.Fatalf("err = %v, want ErrUnsupported class", err)
 	}
@@ -200,7 +199,7 @@ func TestLadderKeepsCorruptPrefix(t *testing.T) {
 	cut := faultinject.Truncate(data, int64(len(data)-3)) // mid-record: records are >= 8 bytes
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 2}
-	res, err := RunLadder(cfg, traceLadderSource(t, cut))
+	res, err := Execute(cfg, traceOpener(cut))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func TestLadderDegradesOnWorkerPanic(t *testing.T) {
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
 	attempts := 0
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
+	res, err := Execute(cfg, func(c Config) (Source, error) {
 		attempts++
 		src := NewFunctionalSource(c, w.MustBuild())
 		if attempts == 1 {
@@ -261,7 +260,7 @@ func TestLadderExhaustsToTypedError(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
 	cfg := Default(wrongpath.Conv)
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
+	res, err := Execute(cfg, func(c Config) (Source, error) {
 		return WrapSource(NewFunctionalSource(c, w.MustBuild()), func(p queue.Producer) queue.Producer {
 			return faultinject.PanicAt(p, 50, "persistent fault")
 		}), nil
@@ -286,7 +285,7 @@ func TestLadderStallDegrades(t *testing.T) {
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
 	cfg.Watchdog = 100 * time.Millisecond
 	attempts := 0
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
+	res, err := Execute(cfg, func(c Config) (Source, error) {
 		attempts++
 		src := NewFunctionalSource(c, w.MustBuild())
 		if attempts > 1 {

@@ -6,11 +6,11 @@ import (
 
 // This file is the sim layer's half of the observability contract (see
 // internal/obs): sessions carry a live *obs.View for sampling hooks,
-// and the accepting entry points — Run, RunTrace, RunLadder — publish a
-// result's aggregate counters exactly once per accepted result. The
-// degradation ladder may run the same cell several times; only the
-// result a caller actually receives is counted, so sweep totals (e.g.
-// WPGenerated) never double-count retry rungs.
+// and Execute — the one run path — publishes a result's aggregate
+// counters exactly once per returned result. The degradation ladder may
+// run the same cell several times; only the result a caller actually
+// receives is counted, so sweep totals (e.g. WPGenerated) never
+// double-count retry rungs.
 
 // obsEnabled reports whether any observability output is configured.
 func (c Config) obsEnabled() bool { return c.Metrics != nil || c.Trace != nil }

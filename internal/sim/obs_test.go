@@ -145,7 +145,7 @@ func TestLadderMetricsNoDoubleCount(t *testing.T) {
 	cfg, reg, sink, _ := obsConfig(wrongpath.Conv, label)
 	cfg.Degrade = DegradePolicy{MaxRetries: 1}
 	attempts := 0
-	res, err := RunLadder(cfg, func(c Config) (Source, error) {
+	res, err := Execute(cfg, func(c Config) (Source, error) {
 		attempts++
 		src := NewFunctionalSource(c, w.MustBuild())
 		if attempts == 1 {

@@ -13,8 +13,9 @@ import (
 
 // Session is one wired-up simulation: a Source feeding the decoupling
 // queue, a wrong-path policy, and the out-of-order core, constructed
-// from a Config in exactly one place. Run/RunTrace are thin wrappers
-// over it; construct a Session directly to supply a custom Source.
+// from a Config in exactly one place. Execute builds one per attempt;
+// construct a Session directly to drive a Source by hand (for example
+// to Restore a specific snapshot).
 type Session struct {
 	cfg    Config
 	src    Source
@@ -110,11 +111,15 @@ func (s *Session) Run() *Result {
 	var wd *watchdog
 	if s.cfg.Watchdog > 0 {
 		wd = startWatchdog(s.cfg.watchdogClock(), s.cfg.Watchdog, s.tap, s.queue, s.src, s.cfg.WP.String(), s.view)
+		// The deferred stops only matter when a panic unwinds the run
+		// (Execute contains it); a normal run stops both below.
+		defer wd.stop()
 	}
 	ctx := s.cfg.Ctx
 	var cn *canceler
 	if ctx != nil {
 		cn = startCanceler(ctx, s.src)
+		defer cn.stop()
 	}
 	var ck *checkpointer
 	var ckErr error

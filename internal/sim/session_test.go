@@ -110,19 +110,20 @@ func TestRunKindsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunAllCoversEveryKind: RunAll's map must contain exactly the
-// canonical kinds.
+// TestRunAllCoversEveryKind: a sweep over wrongpath.Kinds() must yield
+// one result per canonical kind, in order.
 func TestRunAllCoversEveryKind(t *testing.T) {
-	results, err := RunAll(Default(wrongpath.NoWP), gap.BFS(gap.TestParams()))
+	kinds := wrongpath.Kinds()
+	results, err := RunKinds(Default(wrongpath.NoWP), gap.BFS(gap.TestParams()), kinds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(wrongpath.Kinds()) {
-		t.Fatalf("RunAll returned %d results, want %d", len(results), len(wrongpath.Kinds()))
+	if len(results) != len(kinds) {
+		t.Fatalf("RunKinds returned %d results, want %d", len(results), len(kinds))
 	}
-	for _, k := range wrongpath.Kinds() {
-		if results[k] == nil {
-			t.Errorf("RunAll missing %v", k)
+	for i, k := range kinds {
+		if results[i] == nil || results[i].WP != k {
+			t.Errorf("RunKinds result %d is not %v", i, k)
 		}
 	}
 }

@@ -4,12 +4,13 @@
 // the library's primary public surface: construct a Config, point it at
 // a workload instance, and Run.
 //
-// Internally every entry point goes through one session layer: a
-// Source (live functional frontend, parallel frontend, or trace
-// interpreter — the paper's three frontend kinds) feeds a Session,
-// which builds queue → policy → core and collects the Result in one
-// place. Run/RunTrace are thin wrappers; RunKinds fans independent
-// simulations out over the internal/batch worker pool.
+// There is one run path. Execute opens a Source (live functional
+// frontend, parallel frontend, or trace interpreter — the paper's three
+// frontend kinds) for each attempt, resumes from the newest checkpoint
+// when one exists, contains panics, runs the degradation ladder, and
+// publishes metrics; a Session builds queue → policy → core and
+// collects the Result in one place. Run is Execute over one instance;
+// RunKinds fans Execute out over the internal/batch worker pool.
 package sim
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/queue"
 	"repro/internal/workloads"
 	"repro/internal/wrongpath"
 )
@@ -67,17 +67,16 @@ type Config struct {
 	// Timing uses Clock when it implements AfterClock, the wall clock
 	// otherwise; an idle watchdog never influences simulated statistics.
 	Watchdog time.Duration
-	// Degrade arms the graceful-degradation ladder for the ladder-aware
-	// entry points (RunLadder, RunKinds, the experiment runner): on a
+	// Degrade arms Execute's graceful-degradation ladder: on a
 	// recoverable fault a job is re-run one technique rung down instead
-	// of failing the sweep. Zero value = disabled.
+	// of failing the sweep. Zero value = disabled (Run always disarms it).
 	Degrade DegradePolicy
 	// Metrics is the optional observability registry; runs sample live
 	// distributions (queue occupancy, peek depth, wrong-path generation
-	// latency) into it, and the accepting entry points (Run, RunTrace,
-	// RunLadder) publish the accepted result's aggregate counters
-	// exactly once. nil disables metrics; a disabled run's simulation
-	// output is bit-identical to an instrumented build's.
+	// latency) into it, and Execute publishes the returned result's
+	// aggregate counters exactly once. nil disables metrics; a disabled
+	// run's simulation output is bit-identical to an instrumented
+	// build's.
 	Metrics *obs.Registry
 	// Trace is the optional cycle-event trace sink (Chrome-trace JSON);
 	// each run emits its spans onto its own track. nil disables tracing.
@@ -95,13 +94,13 @@ type Config struct {
 	// checkpointing: the complete deterministic simulation state is
 	// written to a versioned, checksummed snapshot file in this directory
 	// at the first lane boundary past every CheckpointEvery retired
-	// instructions. Resume/ResumeTrace (and the degradation ladder's
-	// retry path) restore the newest snapshot and continue to a
-	// bit-identical Result. Checkpointing requires a snapshot-capable
-	// source: the synchronous functional frontend or a trace reader —
-	// not the parallel frontend (its producer goroutine's in-flight
-	// batches are not deterministic state) and not fault-injection
-	// wrappers.
+	// instructions. Every run over a directory that already holds
+	// snapshots restores the newest one and continues to a bit-identical
+	// Result (see Execute for the rule). Checkpointing requires a
+	// snapshot-capable source: the synchronous functional frontend or a
+	// trace reader — not the parallel frontend (its producer goroutine's
+	// in-flight batches are not deterministic state) and not
+	// fault-injection wrappers.
 	CheckpointDir string
 	// CheckpointEvery is the snapshot interval in retired instructions;
 	// 0 disables checkpointing.
@@ -182,36 +181,12 @@ type Result struct {
 // IPC returns the projected instructions per cycle.
 func (r *Result) IPC() float64 { return r.Core.IPC() }
 
-// Run simulates the workload instance under the configuration. It is a
-// thin wrapper over the session layer: a live functional Source plus a
-// Session, with results identical to constructing both by hand.
+// Run simulates the workload instance under the configuration: Execute
+// over that one instance, with the ladder disarmed (so Execute opens
+// exactly once and never rebuilds).
 func Run(cfg Config, inst *workloads.Instance) (*Result, error) {
-	src := NewFunctionalSource(cfg, inst)
-	s, err := NewSession(cfg, src)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	res := s.Run()
-	cfg.publish(res)
-	return res, nil
-}
-
-// RunTrace simulates a pre-recorded instruction trace (see
-// internal/tracefile). Per the paper's §III-B, a trace frontend cannot
-// support functional wrong-path emulation — the trace only contains
-// correct-path instructions — so wrongpath.WPEmul is rejected by the
-// session's capability check; every reconstruction-based technique
-// works, because those only need the decode information and run-ahead
-// that the trace preserves.
-func RunTrace(cfg Config, src queue.Producer) (*Result, error) {
-	s, err := NewSession(cfg, NewTraceSource(src))
-	if err != nil {
-		return nil, err
-	}
-	res := s.Run()
-	cfg.publish(res)
-	return res, nil
+	cfg.Degrade = DegradePolicy{}
+	return Execute(cfg, Instances(workloads.Workload{}, inst))
 }
 
 // Error is the paper's accuracy metric: the relative difference in
@@ -226,10 +201,9 @@ func Error(tech, ref *Result) float64 {
 }
 
 // RunKinds simulates the instance-factory under each given technique
-// and returns results in kinds order — the deterministic, ordered
-// counterpart of RunAll. A fresh instance is built per run so each
-// technique sees pristine state; the runs are independent and execute
-// on the batch engine with the given worker count (<= 0 one per host
+// and returns results in kinds order, each cell one Execute call. A
+// fresh instance is built per run so each technique sees pristine
+// state; the runs are independent and execute on the batch engine with the given worker count (<= 0 one per host
 // core, 1 serial). Simulation results are bit-identical for any worker
 // count; only the per-run Wall timings vary with contention, so pass
 // workers=1 when they matter.
@@ -255,27 +229,7 @@ func RunKinds(cfg Config, w workloads.Workload, kinds []wrongpath.Kind, workers 
 				// must find its own technique's file.
 				c.CheckpointDir = filepath.Join(c.CheckpointDir, k.String())
 			}
-			var r *Result
-			if c.Degrade.Enabled() {
-				// Ladder path: the first attempt consumes the prebuilt
-				// instance, every retry builds a fresh one (a run
-				// consumes its instance's state).
-				first := inst
-				r, err = RunLadder(c, func(cc Config) (Source, error) {
-					if first != nil {
-						i := first
-						first = nil
-						return NewFunctionalSource(cc, i), nil
-					}
-					retry, err := w.Build()
-					if err != nil {
-						return nil, fmt.Errorf("sim: rebuilding %s/%s: %w", w.Suite, w.Name, err)
-					}
-					return NewFunctionalSource(cc, retry), nil
-				})
-			} else {
-				r, err = Run(c, inst)
-			}
+			r, err := Execute(c, Instances(w, inst))
 			if err != nil {
 				return nil, fmt.Errorf("sim: running %s/%s under %v: %w", w.Suite, w.Name, k, err)
 			}
@@ -287,26 +241,6 @@ func RunKinds(cfg Config, w workloads.Workload, kinds []wrongpath.Kind, workers 
 		return nil, err
 	}
 	return batch.Values(results), nil
-}
-
-// RunAll simulates the instance-factory under every technique and
-// returns results indexed by kind; it runs serially (RunKinds with
-// workers=1) so per-run Wall timings stay uncontended. The map's
-// iteration order is random per Go semantics — consumers that render or
-// aggregate order-sensitively must index it by wrongpath.Kinds() (as
-// the experiment drivers do) or use RunKinds directly, which returns
-// the ordered slice.
-func RunAll(cfg Config, w workloads.Workload) (map[wrongpath.Kind]*Result, error) {
-	kinds := wrongpath.Kinds()
-	results, err := RunKinds(cfg, w, kinds, 1)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[wrongpath.Kind]*Result, len(kinds))
-	for i, k := range kinds {
-		out[k] = results[i]
-	}
-	return out, nil
 }
 
 // DescribeConfig renders the core configuration as the paper's Table I:

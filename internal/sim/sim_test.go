@@ -4,19 +4,33 @@ import (
 	"testing"
 
 	"repro/internal/branch"
+	"repro/internal/workloads"
 	"repro/internal/workloads/gap"
 	"repro/internal/wrongpath"
 )
+
+// runEveryKind runs w under every technique (serially, so Wall stays
+// uncontended) and indexes the results by kind.
+func runEveryKind(t *testing.T, cfg Config, w workloads.Workload) map[wrongpath.Kind]*Result {
+	t.Helper()
+	kinds := wrongpath.Kinds()
+	results, err := RunKinds(cfg, w, kinds, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[wrongpath.Kind]*Result, len(kinds))
+	for i, k := range kinds {
+		out[k] = results[i]
+	}
+	return out
+}
 
 // TestRunAllTechniques runs one branch-heavy GAP kernel under all four
 // wrong-path techniques end to end and checks the structural properties
 // each technique must exhibit.
 func TestRunAllTechniques(t *testing.T) {
 	w := gap.BFS(gap.TestParams())
-	results, err := RunAll(Default(wrongpath.NoWP), w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := runEveryKind(t, Default(wrongpath.NoWP), w)
 	for k, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%v: functional error: %v", k, r.Err)

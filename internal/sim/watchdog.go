@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -71,11 +72,12 @@ type watchdog struct {
 	fault atomic.Pointer[simerr.Fault]
 	done  chan struct{}
 	ack   chan struct{}
+	once  sync.Once
 }
 
-// startWatchdog launches the sampling goroutine. stop must be called
-// exactly once; it waits for the goroutine to exit so the fault value
-// is settled when the session assembles its Result.
+// startWatchdog launches the sampling goroutine. stop must be called at
+// least once; it waits for the goroutine to exit so the fault value is
+// settled when the session assembles its Result.
 func startWatchdog(clk AfterClock, budget time.Duration, tap *progressTap, q *queue.Queue, src Source, wp string, view *obs.View) *watchdog {
 	w := &watchdog{done: make(chan struct{}), ack: make(chan struct{})}
 	go func() {
@@ -113,10 +115,12 @@ func startWatchdog(clk AfterClock, budget time.Duration, tap *progressTap, q *qu
 }
 
 // stop terminates the watchdog (if it has not already fired) and waits
-// for its goroutine.
+// for its goroutine; repeated calls are no-ops.
 func (w *watchdog) stop() {
-	close(w.done)
-	<-w.ack
+	w.once.Do(func() {
+		close(w.done)
+		<-w.ack
+	})
 }
 
 // Fault returns the recorded stall fault, or nil. Valid after stop.

@@ -6,8 +6,8 @@
 //
 // The paper's §III-B limitation is enforced here: "a trace frontend
 // cannot implement [functional wrong-path emulation], because the trace
-// only contains correct-path instructions" — sim.RunTrace rejects
-// wrongpath.WPEmul, and the writer strips any attached wrong-path
+// only contains correct-path instructions" — the sim layer's trace
+// source rejects wrongpath.WPEmul, and the writer strips any attached wrong-path
 // streams.
 //
 // Format (little-endian, varint-based):

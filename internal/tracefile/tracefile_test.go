@@ -90,7 +90,7 @@ func TestTraceSimulationMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replay, err := sim.RunTrace(sim.Default(k), r)
+		replay, err := replayTrace(sim.Default(k), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,13 +110,18 @@ func TestTraceSimulationMatchesLive(t *testing.T) {
 	}
 }
 
+// replayTrace runs the reader through the simulator's one run path.
+func replayTrace(cfg sim.Config, r *tracefile.Reader) (*sim.Result, error) {
+	return sim.Execute(cfg, func(sim.Config) (sim.Source, error) { return sim.NewTraceSource(r), nil })
+}
+
 func TestTraceRejectsWPEmul(t *testing.T) {
 	buf := recordBFS(t)
 	r, err := tracefile.NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.RunTrace(sim.Default(wrongpath.WPEmul), r); err == nil {
+	if _, err := replayTrace(sim.Default(wrongpath.WPEmul), r); err == nil {
 		t.Fatal("trace replay accepted wpemul — the paper says it cannot work")
 	}
 }
