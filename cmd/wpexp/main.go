@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,7 +28,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/cliobs"
 	"repro/internal/experiments"
@@ -65,10 +63,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		degree   = fs.Int("degree", 0, "GAP graph degree (0 = default)")
 		scale    = fs.Float64("scale", 0, "SPEC-proxy scale (0 = default)")
 		quick    = fs.Bool("quick", false, "use test-scale inputs")
-		batch    = fs.Int("batch", 0, "decoupling-queue lane size (0 = default, 1 = per-instruction; report text identical at any size)")
 		verbose  = fs.Bool("v", false, "print one line per simulation run")
 		jobs     = fs.Int("jobs", 1, "batch worker count for independent simulations (0 = one per host core)")
-		benchOut = fs.String("bench-out", "", "write a JSON timing record for the run to this file")
 		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget per simulation (0 = disabled); stalled cells abort with a typed error")
 		degrade  = fs.Bool("degrade", false, "on a recoverable fault, retry a cell one technique rung down instead of failing the sweep (degraded cells are annotated)")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed per cell (with -degrade)")
@@ -86,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return exitUsage
 	}
 
-	opt := experiments.Options{Out: stdout, Batch: *batch}
+	opt := experiments.Options{Out: stdout}
 	if *quick {
 		opt.GAP = gap.TestParams()
 		opt.Spec = specproxy.TestParams()
@@ -150,13 +146,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}()
 
 	r := experiments.NewRunner(opt)
-	start := time.Now()
 	if *exp == "all" {
 		err = r.All()
 	} else {
 		err = r.Run(*exp)
 	}
-	wall := time.Since(start)
 	if err != nil && !errors.Is(err, simerr.ErrCanceled) {
 		fmt.Fprintf(stderr, "wpexp: %v\n", err)
 		return exitFailure
@@ -167,38 +161,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// outputs, and the Faulted check below exits annotated.
 		fmt.Fprintf(stderr, "wpexp: %v\n", err)
 	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, *exp, *jobs, *quick, wall); err != nil {
-			fmt.Fprintf(stderr, "wpexp: writing %s: %v\n", *benchOut, err)
-			return exitFailure
-		}
-	}
 	// The report flushed, but some cells are annotated (DEGRADED or
 	// INCOMPLETE): tell CI without discarding the partial output.
 	if r.Faulted() {
 		return exitAnnotated
 	}
 	return exitClean
-}
-
-// benchRecord is the -bench-out JSON schema, consumed by the CI
-// bench-smoke step (make bench-smoke).
-type benchRecord struct {
-	Experiment  string  `json:"experiment"`
-	Jobs        int     `json:"jobs"`
-	Quick       bool    `json:"quick"`
-	WallSeconds float64 `json:"wall_seconds"`
-}
-
-func writeBench(path, exp string, jobs int, quick bool, wall time.Duration) error {
-	data, err := json.MarshalIndent(benchRecord{
-		Experiment:  exp,
-		Jobs:        jobs,
-		Quick:       quick,
-		WallSeconds: wall.Seconds(),
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		seed     = fs.Uint64("seed", 0, "input seed (0 = default)")
 		scale    = fs.Float64("scale", 0, "SPEC-proxy scale factor (0 = default)")
 		rob      = fs.Int("rob", 0, "ROB size override")
-		batch    = fs.Int("batch", 0, "decoupling-queue lane size (0 = default, 1 = per-instruction; results identical at any size)")
 		memLat   = fs.Int("mem-latency", 0, "memory latency override (cycles)")
 		showCfg  = fs.Bool("config", false, "print the core configuration and exit")
 		list     = fs.Bool("list", false, "list available benchmarks and exit")
@@ -100,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *rob > 0 {
 		cfg.ROBSize = *rob
 	}
-	cfg.Batch = *batch
 	if *memLat > 0 {
 		cfg.Hierarchy.MemLatency = *memLat
 	}
@@ -115,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return exitClean
 	}
 
-	drill, err := parseInject(*inject, *degrade, *ckptDir)
+	drill, err := parseInject(*inject, *degrade, *wp, *ckptDir)
 	if err != nil {
 		fmt.Fprintf(stderr, "wpsim: %v\n", err)
 		return exitUsage
@@ -214,9 +212,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 // parseInject parses the -inject fault drill ("panic@N"). Drills
 // require -degrade (the whole point is watching the ladder recover) and
-// are incompatible with -checkpoint-dir (wrapped sources cannot
-// checkpoint — the injector's own state is not snapshottable).
-func parseInject(spec string, degrade bool, ckptDir string) (func(queue.Producer) queue.Producer, error) {
+// a single technique (the -wp all comparison builds its own sources,
+// so a drill there would never fire), and are incompatible with
+// -checkpoint-dir (wrapped sources cannot checkpoint — the injector's
+// own state is not snapshottable).
+func parseInject(spec string, degrade bool, wp, ckptDir string) (func(queue.Producer) queue.Producer, error) {
 	if spec == "" {
 		return nil, nil
 	}
@@ -230,6 +230,9 @@ func parseInject(spec string, degrade bool, ckptDir string) (func(queue.Producer
 	}
 	if !degrade {
 		return nil, fmt.Errorf("-inject requires -degrade (the drill exercises the degradation ladder)")
+	}
+	if wp == "all" {
+		return nil, fmt.Errorf("-inject is incompatible with -wp all (the drill targets one technique's run)")
 	}
 	if ckptDir != "" {
 		return nil, fmt.Errorf("-inject is incompatible with -checkpoint-dir (wrapped sources cannot checkpoint)")

@@ -106,6 +106,9 @@ func TestInjectValidation(t *testing.T) {
 		{"bad spec", quickArgs("-wp", "conv", "-degrade", "-inject", "explode@100")},
 		{"bad position", quickArgs("-wp", "conv", "-degrade", "-inject", "panic@soon")},
 		{"with checkpoint dir", quickArgs("-wp", "conv", "-degrade", "-inject", "panic@100", "-checkpoint-dir", "/tmp/x")},
+		// The -wp all comparison builds its own sources; a drill there
+		// would never fire.
+		{"with wp all", quickArgs("-wp", "all", "-degrade", "-inject", "panic@5000")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if code, _, _ := runWpsim(t, tc.args...); code != exitUsage {

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -32,7 +33,6 @@ import (
 	"repro/internal/cliobs"
 	"repro/internal/frontend"
 	"repro/internal/functional"
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/simerr"
 	"repro/internal/tracefile"
@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		wp       = fs.String("wp", "conv", "wrong-path technique (replay mode): "+strings.Join(wrongpath.Names(), ", ")+", or all; wpemul unsupported")
 		jobs     = fs.Int("jobs", 1, "-wp all worker count (0 = one per host core)")
 		maxInsts = fs.Uint64("max-insts", 0, "instruction cap (0 = workload default)")
-		lane     = fs.Int("batch", 0, "decoupling-queue lane size for replay (0 = default, 1 = per-instruction; results identical at any size)")
 		watchdog = fs.Duration("watchdog", 0, "stall-watchdog budget for replay (0 = disabled)")
 		degrade  = fs.Bool("degrade", false, "replay mode: degrade one technique rung down on a recoverable fault; keep the valid prefix of a corrupt trace")
 		retries  = fs.Int("max-retries", 2, "ladder descents allowed (with -degrade)")
@@ -91,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runRecord(stdout, stderr, *suite, *bench, *out, *maxInsts)
 	case *replay != "":
 		return runReplay(stdout, stderr, &obsFlags, replayOptions{
-			path: *replay, wp: *wp, jobs: *jobs, maxInsts: *maxInsts, lane: *lane,
+			path: *replay, wp: *wp, jobs: *jobs, maxInsts: *maxInsts,
 			watchdog: *watchdog, degrade: *degrade, retries: *retries,
 			ckptDir: *ckptDir, ckptN: *ckptN,
 		})
@@ -157,7 +156,6 @@ type replayOptions struct {
 	wp       string
 	jobs     int
 	maxInsts uint64
-	lane     int
 	watchdog time.Duration
 	degrade  bool
 	retries  int
@@ -190,8 +188,24 @@ func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
+	// Every replay, the single one and each cell of -wp all, is
+	// configured from the flags here, so no flag applies to one mode
+	// and not the other.
+	config := func(kind wrongpath.Kind) sim.Config {
+		cfg := sim.Default(kind)
+		cfg.MaxInsts = o.maxInsts
+		cfg.Watchdog = o.watchdog
+		cfg.Metrics, cfg.Trace, cfg.ObsLabel = metrics, tsink, "trace:"+o.path
+		cfg.Ctx, cfg.CheckpointDir, cfg.CheckpointEvery = ctx, o.ckptDir, o.ckptN
+		if o.degrade {
+			// A corrupt tail keeps the valid prefix, and an unsupported
+			// technique (wpemul on a trace) runs a rung down.
+			cfg.Degrade = sim.DegradePolicy{MaxRetries: o.retries}
+		}
+		return cfg
+	}
 	if o.wp == "all" {
-		faulted, err := replayAll(ctx, stdout, o.path, o.maxInsts, o.jobs, o.watchdog, metrics, tsink)
+		faulted, err := replayAll(ctx, stdout, o.path, o.jobs, config)
 		if err != nil {
 			return fail(err)
 		}
@@ -208,18 +222,7 @@ func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions
 	if err != nil {
 		return fail(err)
 	}
-	cfg := sim.Default(kind)
-	cfg.MaxInsts = o.maxInsts
-	cfg.Core.Batch = o.lane
-	cfg.Watchdog = o.watchdog
-	cfg.Metrics, cfg.Trace, cfg.ObsLabel = metrics, tsink, "trace:"+o.path
-	cfg.Ctx, cfg.CheckpointDir, cfg.CheckpointEvery = ctx, o.ckptDir, o.ckptN
-	if o.degrade {
-		// A corrupt tail keeps the valid prefix, and an unsupported
-		// technique (wpemul on a trace) runs a rung down.
-		cfg.Degrade = sim.DegradePolicy{MaxRetries: o.retries}
-	}
-	res, err := sim.Execute(cfg, traceOpener(data))
+	res, err := sim.Execute(config(kind), traceOpener(data))
 	if err != nil {
 		return fail(err)
 	}
@@ -249,13 +252,18 @@ func runReplay(stdout, stderr io.Writer, obsFlags *cliobs.Flags, o replayOptions
 
 // replayAll replays the trace under every technique the trace frontend
 // supports, each replay over its own in-memory reader of the same trace
-// bytes, fanned out on the batch engine. Supported kinds are selected
+// bytes, fanned out on the batch engine. config builds each cell's
+// configuration exactly as for a single replay; with checkpointing on,
+// each technique snapshots into its own subdirectory (as sim.RunKinds
+// does), so concurrent cells never overwrite each other's snapshots
+// and a re-run resumes each from its own. Supported kinds are selected
 // by the Source capability check, not a hard-coded list: a trace source
 // cannot emulate wrong paths (paper §III-B), so wpemul is skipped.
-// Faulted cells (corrupt tail, stall abort, cancellation) render
-// annotated instead of killing the table mid-report; the returned flag
-// makes the caller exit nonzero after the table has printed.
-func replayAll(ctx context.Context, stdout io.Writer, path string, maxInsts uint64, jobs int, watchdog time.Duration, metrics *obs.Registry, tsink *obs.TraceSink) (bool, error) {
+// Degraded and faulted cells (corrupt tail, stall abort, cancellation)
+// render annotated instead of killing the table mid-report; the
+// returned flag makes the caller exit nonzero after the table has
+// printed.
+func replayAll(ctx context.Context, stdout io.Writer, path string, jobs int, config func(wrongpath.Kind) sim.Config) (bool, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return false, err
@@ -271,11 +279,10 @@ func replayAll(ctx context.Context, stdout io.Writer, path string, maxInsts uint
 	runJobs := make([]func() (*sim.Result, error), len(kinds))
 	for i, k := range kinds {
 		runJobs[i] = func() (*sim.Result, error) {
-			cfg := sim.Default(k)
-			cfg.MaxInsts = maxInsts
-			cfg.Watchdog = watchdog
-			cfg.Metrics, cfg.Trace, cfg.ObsLabel = metrics, tsink, "trace:"+path
-			cfg.Ctx = ctx
+			cfg := config(k)
+			if cfg.CheckpointDir != "" {
+				cfg.CheckpointDir = filepath.Join(cfg.CheckpointDir, k.String())
+			}
 			return sim.Execute(cfg, traceOpener(data))
 		}
 	}
@@ -291,7 +298,11 @@ func replayAll(ctx context.Context, stdout io.Writer, path string, maxInsts uint
 		}
 		res := results[i].Value
 		note := ""
-		if res.Err != nil {
+		switch {
+		case res.Degraded:
+			note = fmt.Sprintf("  DEGRADED(ran as %v)", res.WP)
+			faulted = true
+		case res.Err != nil:
 			note = fmt.Sprintf("  FAULT(%v)", simerr.FirstLine(res.Err))
 			faulted = true
 		}

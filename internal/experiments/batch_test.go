@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workloads/gap"
 	"repro/internal/workloads/specproxy"
 )
 
-// TestBatchReportByteIdentical: the lane-size option threads down to
-// every core the runner builds, and the rendered report — the
+// TestBatchReportByteIdentical: the core's lane size (Options.Core)
+// threads down to every core the runner builds, and the rendered report — the
 // paper-facing artifact — is byte-for-byte identical between the
 // per-instruction and the batched pipeline.
 func TestBatchReportByteIdentical(t *testing.T) {
@@ -18,11 +19,13 @@ func TestBatchReportByteIdentical(t *testing.T) {
 	}
 	run := func(batch int) string {
 		var out strings.Builder
+		cfg := core.DefaultConfig()
+		cfg.Batch = batch
 		r := NewRunner(Options{
-			GAP:   gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
-			Spec:  specproxy.Params{Scale: 0.01, Seed: 99},
-			Out:   &out,
-			Batch: batch,
+			Core: cfg,
+			GAP:  gap.Params{N: 256, Degree: 4, Seed: 7, MaxInsts: 60_000},
+			Spec: specproxy.Params{Scale: 0.01, Seed: 99},
+			Out:  &out,
 		})
 		for _, exp := range []string{"fig1", "ablation"} {
 			if err := r.Run(exp); err != nil {

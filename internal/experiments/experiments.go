@@ -107,11 +107,6 @@ type Options struct {
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives every run's cycle-event trace track.
 	Trace *obs.TraceSink
-	// Batch overrides the core's decoupling-queue lane size
-	// (core.Config.Batch): 0 keeps the default, 1 forces
-	// per-instruction consumption. Results are bit-identical at any
-	// size; the knob exists for throughput comparisons.
-	Batch int
 	// Ctx cancels the sweep: once done, no new cell starts, in-flight
 	// runs stop at their next lane boundary, the partial report stays
 	// flushed, and canceled cells are annotated INCOMPLETE in the
@@ -145,9 +140,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Core.ROBSize == 0 {
 		o.Core = core.DefaultConfig()
-	}
-	if o.Batch != 0 {
-		o.Core.Batch = o.Batch
 	}
 	if o.GAP.N == 0 {
 		o.GAP = gap.DefaultParams()

@@ -40,9 +40,6 @@ type JobSpec struct {
 	MaxInsts uint64 `json:"max_insts,omitempty"`
 	// WarmupInsts functionally warms state before detailed simulation.
 	WarmupInsts uint64 `json:"warmup_insts,omitempty"`
-	// Batch is the decoupling-queue lane size (0 = default; results are
-	// identical at any size).
-	Batch int `json:"batch,omitempty"`
 
 	// Workload input-shape overrides (catalog.Params).
 	N      int     `json:"n,omitempty"`
@@ -100,8 +97,8 @@ func (sp JobSpec) Validate() error {
 	if sp.WatchdogMS < 0 || sp.TimeoutMS < 0 {
 		return fmt.Errorf("negative watchdog_ms/timeout_ms")
 	}
-	if sp.MaxRetries < 0 || sp.Batch < 0 {
-		return fmt.Errorf("negative max_retries/batch")
+	if sp.MaxRetries < 0 {
+		return fmt.Errorf("negative max_retries")
 	}
 	return nil
 }
@@ -118,7 +115,6 @@ func (sp JobSpec) simConfig() (sim.Config, error) {
 	cfg := sim.Default(kind)
 	cfg.MaxInsts = sp.MaxInsts
 	cfg.WarmupInsts = sp.WarmupInsts
-	cfg.Core.Batch = sp.Batch
 	cfg.Watchdog = time.Duration(sp.WatchdogMS) * time.Millisecond
 	if sp.Degrade {
 		cfg.Degrade = sim.DegradePolicy{MaxRetries: sp.MaxRetries}
@@ -127,14 +123,14 @@ func (sp JobSpec) simConfig() (sim.Config, error) {
 }
 
 // Fingerprint is the spec's content address: the specfp hash of every
-// field that can influence the canonical result bytes. The exclusions
-// mirror the checkpoint fingerprint's argument (sim.Config.Fingerprint):
-// TimeoutMS only decides whether a run is cut short (a canceled run
-// never produces a result document), Batch is the decoupling-queue lane
-// size (bit-identical at any size), and CheckpointEvery only changes
-// where snapshots fall (resume chains are bit-identical). Everything
-// else — including the watchdog and degradation knobs, which can steer
-// a run down the technique ladder — is part of the identity. Two specs
+// field that can influence the canonical result bytes, plus the whole
+// simulated configuration the spec translates to (sim.Config.Fingerprint,
+// every core field). Two spec fields are left out: TimeoutMS only
+// decides whether a run is cut short (a canceled run never produces a
+// result document) and CheckpointEvery only changes where snapshots
+// fall (resume chains are bit-identical). Everything else — including
+// the watchdog and degradation knobs, which can steer a run down the
+// technique ladder — is part of the identity. Two specs
 // with equal fingerprints therefore hold equal canonical bytes, which
 // is what lets the result cache and submit coalescing share them.
 func (sp JobSpec) Fingerprint() string {

@@ -59,28 +59,31 @@ func (c Config) checkpointEnabled() bool {
 	return c.CheckpointEvery > 0 && c.CheckpointDir != ""
 }
 
-// Fingerprint summarizes every configuration parameter that the
-// serialized state depends on. A snapshot restores only into a session
-// whose fingerprint matches — otherwise configuration-sized structures
-// (rings, tables) or the simulated schedule itself would diverge from
-// the run that wrote it. The wrong-path technique and the consumer lane
-// size are deliberately absent: the snapshot instants and every
-// serialized structure are identical across lane sizes (lane batching
-// is bit-exact), and the technique is checked separately (Restore
-// rejects a mismatch; a degradation-ladder retry resumes a snapshot one
-// technique rung down and skips the policy statistics section).
+// Fingerprint identifies every configuration parameter that the
+// simulated results and the serialized state depend on: the whole core
+// configuration (pipeline, functional units, branch predictor, caches,
+// TLBs, prefetcher) plus the instruction budget, warming and queue
+// lookahead. A snapshot restores only into a session whose fingerprint
+// matches, and the result caches (internal/resultcache, keyed by
+// specfp fingerprints of wpexp cells and wpserved jobs) fold this
+// string into their content addresses, so changing any of these fields
+// misses instead of reusing another configuration's state or bytes.
 //
-// The serving layer's result cache (internal/resultcache, keyed by
-// specfp fingerprints) folds this string into its content address, but
-// the string is not yet a total description of what determines result
-// bytes: DescribeConfig omits the branch predictor kind and its
-// ChoiceBits/HistoryLen (core.Config.BranchPred), the functional-unit
-// mix (core.Config.FUs) and the next-line prefetcher
-// (core.Config.Hierarchy.NextLinePrefetch), all of which change
-// results. Making result identity total is ROADMAP item 1.
+// The core is rendered whole with %#v (every field named, map keys in
+// sorted order, strings quoted, no String methods consulted), so a new
+// core field is covered without being listed here. Deliberately absent:
+// the lane size core.Config.Batch (lane batching is bit-exact: the
+// snapshot instants and every serialized structure are identical at
+// any size), the wrong-path technique (checked separately: Restore
+// rejects a mismatch, and a degradation-ladder retry resumes a
+// snapshot one technique rung down), and the host-side fields
+// (parallel frontend, clock, watchdog, ladder, observability, context,
+// checkpoint cadence). PolicyFactory cannot be rendered; the ablation
+// runs that set it neither cache nor checkpoint.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("max=%d warm=%d lookahead=%d\n%s",
-		c.MaxInsts, c.WarmupInsts, c.lookahead(), DescribeConfig(c.Core))
+	core := c.Core
+	core.Batch = 0
+	return fmt.Sprintf("max=%d warm=%d lookahead=%d\n%#v", c.MaxInsts, c.WarmupInsts, c.lookahead(), core)
 }
 
 // nextCheckpoint returns the first snapshot threshold past insts on the

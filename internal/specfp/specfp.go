@@ -7,14 +7,15 @@
 // canonical result bytes content-addressable (the serving layer's
 // result cache and the experiment runner's cell cache both key on it).
 //
-// Fingerprints deliberately exclude knobs that provably cannot change
-// canonical result bytes (per-job timeouts, decoupling-queue lane
-// sizes, checkpoint cadence, observability labels) — the same exclusion
-// argument the checkpoint fingerprint makes (see sim.Config.Fingerprint):
-// lane batching is bit-exact, resume chains are bit-identical, and
-// cancellation never produces a result document at all. The *caller*
-// owns that exclusion list; this package only guarantees that what was
-// appended is hashed canonically.
+// Callers append the simulation configuration as a whole through
+// sim.Config.Fingerprint, which renders every core field and leaves out
+// only what provably cannot change results (the lane size, host-side
+// knobs). On top of it they append their own spec fields and may leave
+// out the ones that cannot change canonical result bytes either
+// (per-job timeouts, checkpoint cadence): resume chains are
+// bit-identical, and cancellation never produces a result document at
+// all. The *caller* owns that choice; this package only guarantees
+// that what was appended is hashed canonically.
 //
 // Every builder opens with a domain string ("wpserved/JobSpec/v1") so
 // unrelated fingerprint spaces can never collide and a format revision
